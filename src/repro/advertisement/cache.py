@@ -24,9 +24,10 @@ maintains three hash indexes over the entries:
 Exact and attribute-presence queries resolve through the indexes and
 then sort the (usually tiny) candidate set by insertion sequence so
 results come back in the same order — and honour ``limit`` the same
-way — as the historical linear scan.  Values containing glob
-metacharacters (``*``, ``?``, ``[``) fall back to a scan restricted by
-the type index.
+way — as the historical linear scan; an exact value with no index
+entry answers ``[]`` at once.  Wildcard values (containing ``*`` or
+``?``, see :func:`is_pattern`) fall back to an ``fnmatch`` scan
+restricted by the type index.
 
 Expiry purging is incremental: entries sit in a min-heap keyed by
 ``expires_at``, so :meth:`purge_expired` pops only the expired prefix
@@ -48,10 +49,12 @@ from repro.advertisement.base import (
 )
 
 
-def _has_glob(value: str) -> bool:
-    """True if ``value`` uses fnmatch metacharacters (``*``, ``?``,
-    ``[``) and therefore cannot be answered from the exact index."""
-    return any(c in value for c in "*?[")
+def is_pattern(value: str) -> bool:
+    """True if a query value is a wildcard pattern: it contains ``*`` or
+    ``?``, the JXTA discovery API's wildcards.  Any other value, ``[``
+    included, is matched literally through the exact index.  The
+    discovery service classifies its queries with this same test."""
+    return "*" in value or "?" in value
 
 
 @dataclass(slots=True)
@@ -272,21 +275,21 @@ class AdvertisementCache:
         value: Optional[str],
         now: float,
         limit: Optional[int] = None,
+        pattern: Optional[bool] = None,
     ) -> List[Advertisement]:
         """Find live advertisements matching a discovery query.
 
         ``adv_type`` of None matches all types.  ``attribute``/``value``
         of None match everything of the type; otherwise the named index
-        attribute must glob-match ``value`` (``*``/``?`` wildcards, as
-        in the JXTA discovery API).
+        attribute must equal ``value``, or glob-match it when ``value``
+        is a pattern (``*``/``?`` wildcards, as in the JXTA discovery
+        API).  ``pattern`` is :func:`is_pattern` of ``value``; a caller
+        that has already classified the value passes it.
 
         Results come back in insertion order (oldest key first), exactly
         as the historical full-scan implementation returned them.
         """
         entries = self._entries
-        if attribute is not None and value is not None and _has_glob(value):
-            return self._search_glob(adv_type, attribute, value, now, limit)
-
         if attribute is None:
             if adv_type is None:
                 candidates: Iterable[CacheEntry] = entries.values()
@@ -296,7 +299,16 @@ class AdvertisementCache:
                     (entries[k] for k in keys), key=lambda e: e.seq
                 )
         else:
-            keys = self._attr_keys(adv_type, attribute, value)
+            if value is not None and (
+                is_pattern(value) if pattern is None else pattern
+            ):
+                return self._search_glob(adv_type, attribute, value, now, limit)
+            if adv_type is not None and value is not None:
+                keys = self._by_attr.get((adv_type, attribute, value))
+            else:
+                keys = self._attr_keys(adv_type, attribute, value)
+            if not keys:
+                return []
             candidates = sorted(
                 (entries[k] for k in keys), key=lambda e: e.seq
             )

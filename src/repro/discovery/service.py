@@ -21,11 +21,15 @@ on 5 rendezvous peers (Figure 4 right, curve B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from typing import Callable, Dict, List, Optional
 
 from repro.advertisement.base import Advertisement, DEFAULT_EXPIRATION, DEFAULT_LIFETIME, IndexTuple
-from repro.advertisement.cache import AdvertisementCache
+from repro.advertisement.cache import AdvertisementCache, is_pattern
 from repro.config import PlatformConfig
+from repro.discovery.rangequery import (
+    is_range_query, numeric_value, parse_range_spec, tuple_in_range,
+)
 from repro.discovery.replica import ReplicaFunction
 from repro.discovery.srdi import SrdiIndex, SrdiPayload, SrdiPusher
 from repro.discovery.walker import (
@@ -45,6 +49,13 @@ from repro.sim.kernel import Simulator
 #: Resolver handler name for discovery traffic (as in JXTA).
 DISCOVERY_HANDLER_NAME = "jxta.service.discovery"
 
+#: Query kinds.  Wildcard and range queries are *complex*: they cannot
+#: be replica-routed (the hash of a pattern is meaningless), so they
+#: walk the peerview.
+QUERY_EXACT = 0
+QUERY_WILDCARD = 1
+QUERY_RANGE = 2
+
 
 @dataclass(slots=True)
 class DiscoveryQueryPayload:
@@ -57,25 +68,29 @@ class DiscoveryQueryPayload:
     #: LC-DHT routing state
     at_replica: bool = False
     walk_direction: int = WALK_NONE
+    #: QUERY_RANGE for a numeric ``"lo..hi"`` value, QUERY_WILDCARD for
+    #: a ``*``/``?`` pattern (the cache's own :func:`is_pattern` test),
+    #: else QUERY_EXACT; computed once, when the query is built, and
+    #: carried by every routed copy
+    kind: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.kind is None:
+            self.kind = (
+                QUERY_RANGE if is_range_query(self.value)
+                else QUERY_WILDCARD if is_pattern(self.value)
+                else QUERY_EXACT
+            )
 
     def index_tuple(self) -> IndexTuple:
         return (self.adv_type, self.attribute, self.value)
 
-    @property
-    def is_wildcard(self) -> bool:
-        return "*" in self.value or "?" in self.value
-
-    @property
-    def is_range(self) -> bool:
-        from repro.discovery.rangequery import is_range_query
-
-        return is_range_query(self.value)
-
-    @property
-    def is_complex(self) -> bool:
-        """Wildcard and range queries cannot be replica-routed (the
-        hash of a pattern is meaningless); they walk the peerview."""
-        return self.is_wildcard or self.is_range
+    def routed(self, at_replica: bool, walk_direction: int) -> "DiscoveryQueryPayload":
+        """Copy with new LC-DHT routing state."""
+        return DiscoveryQueryPayload(
+            self.adv_type, self.attribute, self.value, self.threshold,
+            at_replica, walk_direction, self.kind,
+        )
 
     def size_bytes(self) -> int:
         return 220 + len(self.adv_type) + len(self.attribute) + len(self.value)
@@ -494,12 +509,13 @@ class DiscoveryService(QueryHandler):
             return
 
         # 2. SRDI store: do we index a publisher for this tuple?
-        if payload.is_range:
-            records = self._range_srdi_lookup(payload, now)
-        elif payload.is_wildcard:
+        kind = payload.kind
+        if kind == QUERY_EXACT:
+            records = self.srdi.lookup(payload.index_tuple(), now)
+        elif kind == QUERY_WILDCARD:
             records = self._wildcard_srdi_lookup(payload, now)
         else:
-            records = self.srdi.lookup(payload.index_tuple(), now)
+            records = self._range_srdi_lookup(payload, now)
         if records:
             for record in records[: payload.threshold]:
                 if record.publisher == self.resolver.endpoint.peer_id:
@@ -518,7 +534,7 @@ class DiscoveryService(QueryHandler):
             # a complex query below its threshold keeps walking: other
             # rendezvous may index further matching publishers (the
             # searcher deduplicates responses by advertisement key)
-            if not payload.is_complex or len(records) >= payload.threshold:
+            if kind == QUERY_EXACT or len(records) >= payload.threshold:
                 return
 
         # 3. miss: route onward according to the discovery strategy
@@ -532,7 +548,7 @@ class DiscoveryService(QueryHandler):
             return
         if payload.walk_direction != WALK_NONE:
             self._continue_walk(query, payload)
-        elif payload.is_complex:
+        elif kind != QUERY_EXACT:
             # patterns and ranges hash to nothing useful: walk from here
             self._start_walk(query, payload)
         elif not payload.at_replica:
@@ -556,7 +572,7 @@ class DiscoveryService(QueryHandler):
 
                 self.resolver.forward_query(
                     replica,
-                    self._with_routing(query, payload, at_replica=True),
+                    self._with_routing(query, payload.routed(True, WALK_NONE)),
                     on_drop=replica_unreachable,
                 )
         else:
@@ -567,8 +583,6 @@ class DiscoveryService(QueryHandler):
     def _wildcard_srdi_lookup(self, payload: DiscoveryQueryPayload, now: float):
         """Scan the SRDI store for glob matches (complex-query
         extension; cost already charged via the store-size delay)."""
-        from fnmatch import fnmatchcase
-
         out = []
         for index_tuple in self.srdi.tuples():
             adv_type, attribute, value = index_tuple
@@ -580,12 +594,7 @@ class DiscoveryService(QueryHandler):
 
     def _range_srdi_lookup(self, payload: DiscoveryQueryPayload, now: float):
         """Scan the SRDI store for numeric range matches."""
-        from repro.discovery.rangequery import parse_range_spec, tuple_in_range
-
-        spec = parse_range_spec(payload.value)
-        if spec is None:
-            return []
-        lo, hi = spec
+        lo, hi = parse_range_spec(payload.value)
         out = []
         for index_tuple in self.srdi.tuples():
             if tuple_in_range(
@@ -597,13 +606,12 @@ class DiscoveryService(QueryHandler):
     def _local_matches(self, payload: DiscoveryQueryPayload, now: float):
         """Matching advertisements in the local cache (exact, glob, or
         numeric range)."""
-        if not payload.is_range:
+        if payload.kind != QUERY_RANGE:
             return self.cache.search(
                 payload.adv_type, payload.attribute, payload.value, now,
                 limit=payload.threshold,
+                pattern=payload.kind == QUERY_WILDCARD,
             )
-        from repro.discovery.rangequery import numeric_value, parse_range_spec
-
         lo, hi = parse_range_spec(payload.value)
         out = []
         for entry in self.cache.entries(now=now):
@@ -621,47 +629,39 @@ class DiscoveryService(QueryHandler):
                 break
         return out
 
+    @staticmethod
     def _with_routing(
-        self,
-        query: ResolverQuery,
-        payload: DiscoveryQueryPayload,
-        at_replica: bool = False,
-        walk_direction: int = WALK_NONE,
+        query: ResolverQuery, payload: DiscoveryQueryPayload
     ) -> ResolverQuery:
-        """Copy of ``query`` with updated LC-DHT routing state."""
-        new_payload = DiscoveryQueryPayload(
-            adv_type=payload.adv_type,
-            attribute=payload.attribute,
-            value=payload.value,
-            threshold=payload.threshold,
-            at_replica=at_replica,
-            walk_direction=walk_direction,
-        )
+        """The query this peer sends onward: a query object of its own
+        carrying ``payload``'s routing state, sharing the source route
+        (the resolver's hop copy shares both).  A continuing walk leg
+        passes the payload it received, as its routing state is
+        unchanged.  It still sends a query object of its own: the
+        traced benchmark run (``perfbench/tracer.py``) tells a walk leg
+        from a forward to the publisher by whether the forwarded query
+        is the one received."""
         return ResolverQuery(
-            handler_name=query.handler_name,
-            query_id=query.query_id,
-            src_peer=query.src_peer,
-            src_route=list(query.src_route),
-            payload=new_payload,
-            hop_count=query.hop_count,
+            query.handler_name, query.query_id, query.src_peer,
+            query.src_route, payload, query.hop_count,
         )
 
     def _start_walk(self, query: ResolverQuery, payload: DiscoveryQueryPayload) -> None:
         for target, direction in walk_start_targets(self.view):
-            self._send_walk_leg(query, payload, target, direction)
+            self._send_walk_leg(
+                self._with_routing(query, payload.routed(True, direction)),
+                target, direction,
+            )
 
     def _continue_walk(self, query: ResolverQuery, payload: DiscoveryQueryPayload) -> None:
-        target = walk_next_target(self.view, payload.walk_direction)
+        direction = payload.walk_direction
+        target = walk_next_target(self.view, direction)
         if target is None:
             return  # end of the peerview in this direction
-        self._send_walk_leg(query, payload, target, payload.walk_direction)
+        self._send_walk_leg(self._with_routing(query, payload), target, direction)
 
     def _send_walk_leg(
-        self,
-        query: ResolverQuery,
-        payload: DiscoveryQueryPayload,
-        target: PeerID,
-        direction: int,
+        self, leg: ResolverQuery, target: PeerID, direction: int
     ) -> None:
         """Forward one walk step; an unreachable target is dropped from
         the peerview and the leg retries with the next neighbour (the
@@ -671,19 +671,13 @@ class DiscoveryService(QueryHandler):
         if obs is not None and obs.active:
             obs.event(
                 self.sim.now, "discovery", "walk.hop", self._actor,
-                qid=query.query_id, direction=direction,
+                qid=leg.query_id, direction=direction,
             )
 
         def target_unreachable(*_args, _t=target):
             self.view.remove(_t, self.sim.now, reason="unreachable")
             next_target = walk_next_target(self.view, direction)
             if next_target is not None:
-                self._send_walk_leg(query, payload, next_target, direction)
+                self._send_walk_leg(leg, next_target, direction)
 
-        self.resolver.forward_query(
-            target,
-            self._with_routing(
-                query, payload, at_replica=True, walk_direction=direction
-            ),
-            on_drop=target_unreachable,
-        )
+        self.resolver.forward_query(target, leg, on_drop=target_unreachable)

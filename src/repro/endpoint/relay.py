@@ -119,6 +119,8 @@ class RelayServer:
     # ------------------------------------------------------------------
     def _intercept(self, message: EndpointMessage) -> bool:
         """Queue messages addressed to a registered client."""
+        if not self._clients:
+            return False  # the common case: a relay nobody uses
         self._purge()
         record = self._clients.get(message.dst_peer)
         if record is None:
@@ -134,12 +136,13 @@ class RelayServer:
         body = message.body
         now = self.endpoint.sim.now
         if isinstance(body, RelayRegister):
+            # a renewal keeps the queue; an expired record counts as
+            # absent whether or not it has been purged yet
+            old = self._clients.get(body.client_peer)
             self._clients[body.client_peer] = _ClientRecord(
                 client_address=body.client_address,
                 expires_at=now + body.lease,
-                queue=self._clients[body.client_peer].queue
-                if body.client_peer in self._clients
-                else [],
+                queue=old.queue if old is not None and old.expires_at > now else [],
             )
         elif isinstance(body, RelayPoll):
             self._purge()

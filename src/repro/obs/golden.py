@@ -26,6 +26,7 @@ from repro.obs.runtime import session
 GOLDEN_SCENARIOS = {
     "peerview10": "peerview10.jsonl",
     "publish-lookup5": "publish_lookup5.jsonl",
+    "walk-lookup10": "walk_lookup10.jsonl",
 }
 
 
@@ -109,7 +110,68 @@ def publish_lookup_trace(seed: int = 1) -> List[str]:
     return tracer.to_jsonl_lines()
 
 
+def walk_lookup_trace(seed: int = 1) -> List[str]:
+    """A lookup that misses at its replica and walks the peerview.
+
+    Ten rendezvous in a chain plus two edges (publisher on rdv-0,
+    searcher on rdv-5) warm up with only discovery/resolver/srdi events
+    kept.  The publisher's advertisement is indexed on rdv-0 and
+    replicated to rdv-7.  Then the views are made inconsistent: rdv-5
+    forgets rdv-7, so it routes the lookup to rdv-9 as the replica,
+    which misses and starts the bidirectional walk.  rdv-8, the first
+    upward walk target, has crashed: the send is dropped, rdv-9 removes
+    it from its view and the upward leg retries with the next
+    neighbour.  Both legs reach an index holder and forward to the
+    publisher.
+    """
+    from repro.advertisement.testadv import FakeAdvertisement
+    from repro.config import PlatformConfig
+    from repro.deploy.builder import OverlayDescription, build_overlay
+    from repro.network import Network
+    from repro.sim import HOURS, MINUTES, Simulator
+
+    with session(
+        metrics=False, trace=True, categories=("discovery", "resolver", "srdi")
+    ) as s:
+        sim = Simulator(seed=seed)
+        network = Network(sim)
+        overlay = build_overlay(
+            sim,
+            network,
+            PlatformConfig(),
+            OverlayDescription(
+                rendezvous_count=10, edge_count=2, topology="chain",
+                edge_attachment=[0, 5],
+            ),
+        )
+        overlay.start()
+        sim.run(until=10 * MINUTES)
+
+        publisher, searcher = overlay.edges
+        rdv = overlay.rendezvous
+        publisher.discovery.publish(
+            FakeAdvertisement("WalkMe"), expiration=2 * HOURS
+        )
+        publisher.discovery.pusher.push_now()
+        sim.run(until=sim.now + 1 * MINUTES)
+
+        rdv[5].view.remove(rdv[7].peer_id, sim.now, reason="golden")
+        rdv[8].crash()
+        results: List[object] = []
+        searcher.discovery.get_remote_advertisements(
+            "repro:FakeAdvertisement", "Name", "WalkMe",
+            callback=lambda advs, latency: results.append(advs),
+        )
+        sim.run(until=sim.now + 1 * MINUTES)
+        assert results, "golden walk lookup must succeed"
+        assert rdv[8].peer_id not in rdv[9].view, "the walk retry must fire"
+    (tracer,) = s.tracers()
+    assert tracer.dropped == 0
+    return tracer.to_jsonl_lines()
+
+
 SCENARIO_FUNCTIONS = {
     "peerview10": peerview_convergence_trace,
     "publish-lookup5": publish_lookup_trace,
+    "walk-lookup10": walk_lookup_trace,
 }

@@ -43,14 +43,12 @@ class ResolverQuery:
         return RESOLVER_OVERHEAD_BYTES + _payload_size(self.payload)
 
     def hopped(self) -> "ResolverQuery":
-        """Copy with the hop counter incremented (for re-propagation)."""
+        """Copy with the hop counter incremented (for re-propagation).
+        The copy shares the payload and the source route: no peer
+        mutates either once the query is sent."""
         return ResolverQuery(
-            handler_name=self.handler_name,
-            query_id=self.query_id,
-            src_peer=self.src_peer,
-            src_route=list(self.src_route),
-            payload=self.payload,
-            hop_count=self.hop_count + 1,
+            self.handler_name, self.query_id, self.src_peer,
+            self.src_route, self.payload, self.hop_count + 1,
         )
 
 

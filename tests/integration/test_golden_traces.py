@@ -95,3 +95,25 @@ def test_publish_lookup_covers_fig2_chain():
     assert names.index("push") < names.index("query.issued")
     assert names.index("forward.replica") < names.index("forward.publisher")
     assert names.index("response.sent") < names.index("query.completed")
+
+
+def test_walk_lookup_covers_the_walk_path():
+    """The walk fixture pins the per-hop path: a replica miss, walk legs
+    in both directions, a dropped leg retried past a crashed
+    rendezvous, continuing legs, and the holder's forward to the
+    publisher."""
+    events = [json.loads(line) for line in _fixture_lines("walk-lookup10")]
+    names = [e["name"] for e in events]
+    hops = [e for e in events if e["name"] == "walk.hop"]
+    assert {h["args"]["direction"] for h in hops} == {1, -1}
+    # the replica starts the walk (one leg each way) and retries the
+    # upward leg from the same peer after the crashed target drops it
+    starter = hops[0]["actor"]
+    assert [h["args"]["direction"] for h in hops[:3]] == [1, -1, 1]
+    assert all(h["actor"] == starter for h in hops[:3])
+    assert hops[2]["t"] > hops[0]["t"]
+    # ... and later legs continue from other rendezvous
+    assert any(h["actor"] != starter for h in hops)
+    assert names.index("forward.replica") < names.index("walk.hop")
+    assert names.index("walk.hop") < names.index("forward.publisher")
+    assert names.index("forward.publisher") < names.index("query.completed")

@@ -2,11 +2,18 @@
 
 ``AdvertisementCache.search`` used to scan every entry with
 ``fnmatchcase``.  It now resolves through type/attribute/value hash
-indexes (with a glob fallback).  The oracle below is the pre-index
-implementation, verbatim, run against the same entry dict — every
-query the discovery API can express must return the *identical* list
-(same advertisements, same order, same ``limit`` truncation),
-including ``*``/``?`` wildcards and queries at exact expiry instants.
+indexes (with a glob fallback, and an immediate ``[]`` for an exact
+value nothing is indexed under).  The oracle below is the pre-index
+implementation run against the same entry dict — every query the
+discovery API can express must return the *identical* list (same
+advertisements, same order, same ``limit`` truncation), including
+``*``/``?`` wildcards, absent exact values, values holding ``[`` and
+queries at exact expiry instants.
+
+The one edit to the pre-index code: only a value holding ``*`` or
+``?`` is a pattern.  Any other value is compared literally, so a
+published ``adv-[1]`` is found by the query ``adv-[1]`` (the
+rendezvous routes such a value as an exact query too).
 """
 
 from fnmatch import fnmatchcase
@@ -23,7 +30,7 @@ RDV = RdvAdvertisement.ADV_TYPE
 
 
 def linear_scan_oracle(cache, adv_type, attribute, value, now, limit=None):
-    """The pre-index ``search`` implementation, character for character."""
+    """The pre-index ``search`` implementation (see the module doc)."""
     out = []
     for entry in cache._entries.values():
         if entry.expired(now):
@@ -35,7 +42,12 @@ def linear_scan_oracle(cache, adv_type, attribute, value, now, limit=None):
             matched = False
             for t, attr, val in adv.index_tuples():
                 if attr == attribute and (
-                    value is None or fnmatchcase(val, value)
+                    value is None
+                    or (
+                        fnmatchcase(val, value)
+                        if "*" in value or "?" in value
+                        else val == value
+                    )
                 ):
                     matched = True
                     break
@@ -55,7 +67,7 @@ def _rdv(n, name):
     )
 
 
-names = st.sampled_from([f"adv-{i}" for i in range(6)])
+names = st.sampled_from([f"adv-{i}" for i in range(6)] + ["adv-[1]"])
 rdv_ns = st.integers(0, 4)
 #: overlaps with the fake names so cross-type attribute queries bite
 rdv_names = st.sampled_from(["", "adv-1", "adv-3", "rdv-x"])
@@ -78,7 +90,11 @@ adv_types = st.sampled_from([None, FAKE, RDV, "jxta:NoSuchType"])
 attributes = st.sampled_from([None, "Name", "RdvPeerID", "Payload", "Bogus"])
 values = st.sampled_from(
     [None, "adv-1", "adv-5", "rdv-x", "adv-*", "*", "adv-?", "no-such",
-     "[a]dv-1", "a*1"]
+     "[a]dv-1", "a*1",
+     # absent exact values: the index has no entry at all
+     "adv-9", "adv-", "",
+     # '[' is literal in an exact value, fnmatch syntax in a pattern
+     "adv-[1]", "adv-[13]*", "adv-[?]", "*[1]"]
 )
 limits = st.sampled_from([None, 1, 2, 5])
 queries = st.lists(

@@ -313,3 +313,43 @@ class TestCosts:
             noiser.discovery.publish(FakeAdvertisement(f"fake-{i}"))
         sim.run(until=sim.now + 2 * MINUTES)
         assert len(overlay.rendezvous[0].discovery.srdi) >= 50
+
+
+class TestQueryClassification:
+    """The rendezvous and the publisher's cache read a query value the
+    same way: ``*``/``?`` make a pattern, every other character
+    (``[`` included) is literal."""
+
+    @staticmethod
+    def _lookup(value):
+        # the 3-rendezvous / 2-edge chain of the publish-lookup golden
+        sim = Simulator(seed=1)
+        overlay = build_overlay(
+            sim, Network(sim), PlatformConfig(),
+            OverlayDescription(
+                rendezvous_count=3, edge_count=2, topology="chain"
+            ),
+        )
+        overlay.start()
+        sim.run(until=10 * MINUTES)
+        publisher, searcher = overlay.edges
+        publisher.discovery.publish(FakeAdvertisement(value))
+        publisher.discovery.pusher.push_now()
+        sim.run(until=sim.now + 1 * MINUTES)
+        results = []
+        searcher.discovery.get_remote_advertisements(
+            "repro:FakeAdvertisement", "Name", value,
+            callback=lambda advs, lat: results.append(advs),
+            on_timeout=lambda: results.append(None),
+        )
+        sim.run(until=sim.now + 1 * MINUTES)
+        return results
+
+    def test_plain_value_is_found(self):
+        (advs,) = self._lookup("item-1")
+        assert [a.name for a in advs] == ["item-1"]
+
+    def test_bracket_in_value_is_literal(self):
+        (advs,) = self._lookup("item[1]")
+        assert advs is not None, "lookup of 'item[1]' timed out"
+        assert [a.name for a in advs] == ["item[1]"]

@@ -178,3 +178,74 @@ class TestRelayServer:
             RelayServer(rdv.endpoint, "g", queue_limit=0)
         with pytest.raises(ValueError):
             RelayClient(rdv.endpoint, "g", poll_interval=0.0)
+
+
+class TestRelayServerRecords:
+    """White-box checks of the relay's client records and interception."""
+
+    def _relay(self):
+        from repro.ids.jxtaid import NET_PEER_GROUP_ID, PeerID
+
+        sim = Simulator(seed=1)
+        network = Network(sim)
+        overlay = build_overlay(
+            sim, network, PlatformConfig(), OverlayDescription(rendezvous_count=1)
+        )
+        rdv = overlay.rendezvous[0]
+        client = PeerID.from_int(NET_PEER_GROUP_ID, 9999)
+        return sim, rdv, rdv.relay_server, client
+
+    @staticmethod
+    def _message(src, dst, body):
+        from repro.endpoint.service import EndpointMessage
+
+        return EndpointMessage(
+            src_peer=src, dst_peer=dst, service_name="svc",
+            service_param="p", body=body,
+        )
+
+    def _register(self, rdv, relay, client, lease):
+        from repro.endpoint.relay import RelayRegister
+
+        relay._on_message(self._message(
+            client, None,
+            RelayRegister(client_peer=client, client_address="tcp://c:1",
+                          lease=lease),
+        ))
+
+    def test_intercept_with_no_clients_passes_through(self):
+        sim, rdv, relay, client = self._relay()
+        assert relay._intercept(self._message(rdv.peer_id, client, "m")) is False
+        assert relay.queued == 0
+
+    def test_intercept_queues_for_live_client(self):
+        sim, rdv, relay, client = self._relay()
+        self._register(rdv, relay, client, lease=10.0)
+        assert relay._intercept(self._message(rdv.peer_id, client, "m")) is True
+        assert relay.queue_length(client) == 1
+
+    def test_intercept_ignores_expired_client(self):
+        sim, rdv, relay, client = self._relay()
+        self._register(rdv, relay, client, lease=10.0)
+        sim.run(until=20.0)
+        assert relay._intercept(self._message(rdv.peer_id, client, "m")) is False
+        assert relay.queued == 0
+        assert relay.client_count() == 0
+
+    def test_reregistration_after_expiry_starts_empty(self):
+        # the record expired but nothing purged it yet: the new lease
+        # must not inherit the stale queue
+        sim, rdv, relay, client = self._relay()
+        self._register(rdv, relay, client, lease=10.0)
+        relay._intercept(self._message(rdv.peer_id, client, "stale"))
+        sim.run(until=20.0)
+        self._register(rdv, relay, client, lease=10.0)
+        assert relay.queue_length(client) == 0
+
+    def test_reregistration_while_live_keeps_queue(self):
+        sim, rdv, relay, client = self._relay()
+        self._register(rdv, relay, client, lease=10.0)
+        relay._intercept(self._message(rdv.peer_id, client, "kept"))
+        sim.run(until=5.0)
+        self._register(rdv, relay, client, lease=10.0)
+        assert relay.queue_length(client) == 1
