@@ -396,12 +396,12 @@ class DiscoveryService(QueryHandler):
         payload = query.payload
         if not isinstance(payload, DiscoveryQueryPayload):
             return None
-        delay = self.config.discovery_proc_cost
-        if self.srdi is not None:
-            delay += self.config.srdi_match_cost * len(self.srdi)
-        else:
-            delay += self.config.srdi_match_cost * len(self.cache)
-        self.sim.schedule(delay, self._handle_query, query, label="discovery.handle")
+        config = self.config
+        store = self.srdi if self.srdi is not None else self.cache
+        self.sim.schedule(
+            config.discovery_proc_cost + config.srdi_match_cost * len(store),
+            self._handle_query, query, label="discovery.handle",
+        )
         return None
 
     def process_srdi(self, message: ResolverSrdiMessage) -> None:
@@ -572,8 +572,8 @@ class DiscoveryService(QueryHandler):
 
                 self.resolver.forward_query(
                     replica,
-                    self._with_routing(query, payload.routed(True, WALK_NONE)),
-                    on_drop=replica_unreachable,
+                    self._routed_query(query, True, WALK_NONE),
+                    replica_unreachable,
                 )
         else:
             # we are the computed replica and we have nothing: fall
@@ -630,27 +630,20 @@ class DiscoveryService(QueryHandler):
         return out
 
     @staticmethod
-    def _with_routing(
-        query: ResolverQuery, payload: DiscoveryQueryPayload
+    def _routed_query(
+        query: ResolverQuery, at_replica: bool, direction: int
     ) -> ResolverQuery:
-        """The query this peer sends onward: a query object of its own
-        carrying ``payload``'s routing state, sharing the source route
-        (the resolver's hop copy shares both).  A continuing walk leg
-        passes the payload it received, as its routing state is
-        unchanged.  It still sends a query object of its own: the
-        traced benchmark run (``perfbench/tracer.py``) tells a walk leg
-        from a forward to the publisher by whether the forwarded query
-        is the one received."""
+        """A start or replica leg: one routed payload and query."""
         return ResolverQuery(
             query.handler_name, query.query_id, query.src_peer,
-            query.src_route, payload, query.hop_count,
+            query.src_route, query.payload.routed(at_replica, direction),
+            query.hop_count,
         )
 
     def _start_walk(self, query: ResolverQuery, payload: DiscoveryQueryPayload) -> None:
         for target, direction in walk_start_targets(self.view):
             self._send_walk_leg(
-                self._with_routing(query, payload.routed(True, direction)),
-                target, direction,
+                self._routed_query(query, True, direction), target, direction
             )
 
     def _continue_walk(self, query: ResolverQuery, payload: DiscoveryQueryPayload) -> None:
@@ -658,7 +651,15 @@ class DiscoveryService(QueryHandler):
         target = walk_next_target(self.view, direction)
         if target is None:
             return  # end of the peerview in this direction
-        self._send_walk_leg(self._with_routing(query, payload), target, direction)
+        # same payload, new query object: perfbench/tracer.py counts a
+        # walk leg by the forwarded query not being the received one
+        self._send_walk_leg(
+            ResolverQuery(
+                query.handler_name, query.query_id, query.src_peer,
+                query.src_route, payload, query.hop_count,
+            ),
+            target, direction,
+        )
 
     def _send_walk_leg(
         self, leg: ResolverQuery, target: PeerID, direction: int

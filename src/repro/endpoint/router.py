@@ -132,48 +132,60 @@ class EndpointRouter:
 
         Messages with exhausted TTL or no resolvable route are dropped
         (with ``on_drop`` notification when provided), like JXTA's
-        best-effort propagation.
+        best-effort propagation.  ``message.dst_peer`` must be set:
+        address-only messages go through ``EndpointService.send_direct``.
         """
-        if (
-            message.dst_peer is not None
-            and self.interner.intern(message.dst_peer) == self.endpoint.peer_key
-        ):
+        dst_peer = message.dst_peer
+        if dst_peer is None:
+            raise ValueError(
+                "route_and_send needs message.dst_peer; send address-only "
+                "messages with EndpointService.send_direct"
+            )
+        endpoint = self.endpoint
+        # interned through the ID's cached key, as _on_envelope does
+        interner = self.interner
+        cached = getattr(dst_peer, "_intern", None)
+        if cached is not None and cached[0] is interner:
+            key = cached[1]
+        else:
+            key = interner.intern(dst_peer)
+        if key == endpoint.peer_key:
             # routing to self: deliver locally without a network hop
-            self.endpoint._on_envelope(
+            endpoint._on_envelope(
                 Envelope(
-                    src=self.endpoint.transport_address,
-                    dst=self.endpoint.transport_address,
+                    src=endpoint.transport_address,
+                    dst=endpoint.transport_address,
                     payload=message,
                     size_bytes=message.size_bytes(),
-                    sent_at=self.endpoint.sim.now,
+                    sent_at=endpoint.sim.now,
                 )
             )
             return
         # messages for an HTTP relay client wait in the relay queue
         # instead of being pushed (the client cannot accept inbound
         # connections; it will poll)
-        if (
-            self.endpoint.relay_interceptor is not None
-            and message.dst_peer is not None
-            and self.endpoint.relay_interceptor(message)
-        ):
+        interceptor = endpoint.relay_interceptor
+        if interceptor is not None and interceptor(message):
             return
         if message.ttl <= 0:
             self.no_route_drops += 1
             return
-        hops = self.resolve(message.dst_peer)
-        if hops is None:
+        # resolve(dst_peer)[0] without building its hop list
+        hop = self._routes.get(key, self._default_route)
+        if hop is None:
             self.no_route_drops += 1
             if on_drop is not None:
                 on_drop(
                     Envelope(
-                        src=self.endpoint.transport_address,
+                        src=endpoint.transport_address,
                         dst="<no-route>",
                         payload=message,
                         size_bytes=message.size_bytes(),
-                        sent_at=self.endpoint.sim.now,
+                        sent_at=endpoint.sim.now,
                     )
                 )
             return
         self.forwards += 1
-        self.endpoint.send_direct(hops[0], message, on_drop=on_drop)
+        endpoint.send_direct(
+            hop if type(hop) is str else hop[0], message, on_drop
+        )

@@ -317,6 +317,7 @@ class PeerView:
         heap = self._expiry_heap
         entries = self._entries
         dead: List[PeerID] = []
+        canary = None  # read once, at the sweep's first drop
         while heap and now - heap[0][0] > pve_expiration:
             _, key = _heappop(heap)
             entry = entries.get(key)
@@ -324,7 +325,9 @@ class PeerView:
                 continue  # removed since the record was pushed
             if now - entry.last_refreshed > pve_expiration:
                 dead.append(self.interner.id_of(key))
-                if _canary_enabled() and key % 3 == 1:
+                if canary is None:
+                    canary = _canary_enabled()
+                if canary and key % 3 == 1:
                     # planted canary (see _canary_enabled): partial
                     # removal that leaks the _order slot, leaving the
                     # ordered list inconsistent with the entry map
@@ -384,25 +387,24 @@ class PeerView:
     def upper_neighbor(self) -> Optional[PeerID]:
         """The rendezvous whose ID immediately follows ours, or None if
         we are the top of the sorted list."""
-        key = self.upper_neighbor_key()
-        return None if key is None else self.interner.id_of(key)
-
-    def upper_neighbor_key(self) -> Optional[int]:
-        rank = self.local_rank()
-        if rank + 1 < len(self._order):
-            return self._order[rank + 1][1]
-        return None
+        rank = self.local_rank() + 1
+        return self.id_at(rank) if rank < len(self._order) else None
 
     def lower_neighbor(self) -> Optional[PeerID]:
         """The rendezvous whose ID immediately precedes ours, or None if
         we are the bottom of the sorted list."""
-        key = self.lower_neighbor_key()
-        return None if key is None else self.interner.id_of(key)
-
-    def lower_neighbor_key(self) -> Optional[int]:
         rank = self.local_rank()
-        if rank > 0:
-            return self._order[rank - 1][1]
+        return self.id_at(rank - 1) if rank > 0 else None
+
+    def neighbor_key(self, direction: int) -> Optional[int]:
+        """Interned key of our upper (``direction`` +1) or lower (-1)
+        neighbour, or None at that end of the sorted list.  One bisect:
+        the walk and Algorithm 1 ask this on every hop and iteration."""
+        order = self._order
+        index = bisect.bisect_left(order, (self.local_peer_id._value,))
+        index += direction
+        if 0 <= index < len(order):
+            return order[index][1]
         return None
 
     def neighbor_of(self, peer_id: PeerID, direction: int) -> Optional[PeerID]:

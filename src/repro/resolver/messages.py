@@ -8,7 +8,7 @@ correlation metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List
 
 from repro.ids.jxtaid import PeerID
@@ -26,9 +26,10 @@ def _payload_size(payload: Any) -> int:
     return 128
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class ResolverQuery:
-    """A query addressed to a named handler on some peer(s)."""
+    """A query addressed to a named handler on some peer(s).  Slotted
+    (a walk hop builds two), with a weakref slot for tracing tools."""
 
     handler_name: str
     query_id: int
@@ -40,7 +41,11 @@ class ResolverQuery:
     hop_count: int = 0
 
     def size_bytes(self) -> int:
-        return RESOLVER_OVERHEAD_BYTES + _payload_size(self.payload)
+        try:
+            size = self.payload.size_bytes
+        except AttributeError:
+            return RESOLVER_OVERHEAD_BYTES + _payload_size(self.payload)
+        return RESOLVER_OVERHEAD_BYTES + size()
 
     def hopped(self) -> "ResolverQuery":
         """Copy with the hop counter incremented (for re-propagation).

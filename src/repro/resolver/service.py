@@ -131,7 +131,14 @@ class ResolverService:
                 self._actor, handler=query.handler_name, qid=query.query_id,
                 hop=query.hop_count + 1,
             )
-        self._send_body(dst_peer, query.hopped(), on_drop=on_drop)
+        self._send_body(
+            dst_peer,
+            ResolverQuery(
+                query.handler_name, query.query_id, query.src_peer,
+                query.src_route, query.payload, query.hop_count + 1,
+            ),
+            on_drop,
+        )
 
     def send_response(self, query: ResolverQuery, payload: Any) -> None:
         """Respond to ``query``; routed directly to the query source
@@ -176,15 +183,13 @@ class ResolverService:
         body: Any,
         on_drop: Optional[Callable[..., None]] = None,
     ) -> None:
-        self.endpoint.send_to_peer(
+        endpoint = self.endpoint
+        endpoint.router.route_and_send(
             EndpointMessage(
-                src_peer=self.endpoint.peer_id,
-                dst_peer=dst_peer,
-                service_name=RESOLVER_SERVICE_NAME,
-                service_param=self.group_param,
-                body=body,
+                endpoint.peer_id, dst_peer, RESOLVER_SERVICE_NAME,
+                self.group_param, body,
             ),
-            on_drop=on_drop,
+            on_drop,
         )
 
     # ------------------------------------------------------------------
@@ -202,14 +207,20 @@ class ResolverService:
             self.send_response(query, response_payload)
 
     def _on_message(self, message: EndpointMessage) -> None:
+        # exact-type dispatch; a query runs inject_query's body inline
         body = message.body
-        if isinstance(body, ResolverQuery):
-            self.inject_query(body)
-        elif isinstance(body, ResolverResponse):
+        kind = type(body)
+        if kind is ResolverQuery:
+            handler = self._handlers.get(body.handler_name)
+            if handler is not None:
+                response_payload = handler.process_query(body)
+                if response_payload is not None:
+                    self.send_response(body, response_payload)
+        elif kind is ResolverResponse:
             handler = self._handlers.get(body.handler_name)
             if handler is not None:
                 handler.process_response(body)
-        elif isinstance(body, ResolverSrdiMessage):
+        elif kind is ResolverSrdiMessage:
             handler = self._handlers.get(body.handler_name)
             if handler is not None:
                 handler.process_srdi(body)

@@ -90,6 +90,31 @@ def test_neighbors_match_sorted_order(members):
         assert lower is None
 
 
+@given(ops)
+def test_neighbor_key_matches_upper_and_lower_neighbor(operations):
+    """The walk's one-bisect neighbour query agrees with the rank-based
+    upper_neighbor()/lower_neighbor() on views built by random
+    upsert/remove/expire histories."""
+    view = PeerView(adv(LOCAL))
+    now = 0.0
+    for op in operations:
+        now += 1.0
+        if op[0] == "upsert":
+            view.upsert(adv(op[1]), now)
+        elif op[0] == "remove":
+            view.remove(PeerID.from_int(NET_PEER_GROUP_ID, op[1]), now)
+        else:
+            now += op[1]
+            view.expire(now, 50.0)
+        for direction, reference in ((1, view.upper_neighbor()),
+                                     (-1, view.lower_neighbor())):
+            key = view.neighbor_key(direction)
+            if reference is None:
+                assert key is None
+            else:
+                assert view.interner.id_of(key) == reference
+
+
 @given(
     st.sets(st.integers(0, 999), min_size=1, max_size=60),
     st.integers(0, 59),

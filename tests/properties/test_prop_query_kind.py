@@ -72,9 +72,7 @@ def test_kind_survives_pickling_and_routing(value, at_replica, direction):
         payload=restored,
         hop_count=4,
     )
-    leg = DiscoveryService._with_routing(
-        query, restored.routed(at_replica, direction)
-    )
+    leg = DiscoveryService._routed_query(query, at_replica, direction)
     hopped = leg.hopped()
     assert hopped.hop_count == 5
     routed = hopped.payload

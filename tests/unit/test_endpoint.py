@@ -145,6 +145,22 @@ class TestRouter:
         assert len(drops) == 1
         assert a.router.no_route_drops == 1
 
+    def test_send_to_peer_without_destination_is_rejected(self):
+        # an address-only message has no peer to route to: the router
+        # says so at its boundary instead of failing inside the
+        # interner, and nothing is sent or counted
+        _, net, (a, b, _) = build_peers()
+        a.router.add_route(b.peer_id, [b.transport_address])
+        for ttl in (8, 0):
+            message = msg(a, b)
+            message.dst_peer = None
+            message.ttl = ttl
+            with pytest.raises(ValueError, match="send_direct"):
+                a.send_to_peer(message)
+        assert a.messages_out == 0
+        assert a.router.no_route_drops == 0
+        assert net.stats.messages_sent == 0
+
     def test_default_route_relays_via_intermediate(self):
         # a -> c (relay) -> b : a only knows c; c knows b directly
         sim, _, (a, b, c) = build_peers()

@@ -88,6 +88,25 @@ class TestExpiry:
         assert view.expire(now=1200.0, pve_expiration=1200.0) == []
 
 
+    def test_canary_flag_read_once_per_sweep_that_drops(self, view, monkeypatch):
+        from repro.rendezvous import peerview as peerview_mod
+
+        reads = []
+
+        def counting_canary():
+            reads.append(1)
+            return False
+
+        monkeypatch.setattr(peerview_mod, "_canary_enabled", counting_canary)
+        for n in (10, 20, 30):
+            view.upsert(adv(n), now=0.0)
+        view.upsert(adv(40), now=100.0)
+        assert view.expire(now=1000.0, pve_expiration=1200.0) == []
+        assert reads == []  # nothing dropped: the flag is not read
+        assert len(view.expire(now=1201.0, pve_expiration=1200.0)) == 3
+        assert reads == [1]
+
+
 class TestRemove:
     def test_remove_present(self, view):
         view.upsert(adv(10), now=0.0)
@@ -105,6 +124,15 @@ class TestNeighbors:
             view.upsert(adv(n), now=0.0)
         assert view.lower_neighbor() == pid(40)
         assert view.upper_neighbor() == pid(60)
+
+    def test_neighbor_key_by_direction(self, view):
+        for n in (10, 40, 60, 90):
+            view.upsert(adv(n), now=0.0)
+        assert view.interner.id_of(view.neighbor_key(1)) == pid(60)
+        assert view.interner.id_of(view.neighbor_key(-1)) == pid(40)
+        alone = PeerView(adv(1))
+        assert alone.neighbor_key(1) is None
+        assert alone.neighbor_key(-1) is None
 
     def test_at_bottom_of_list(self):
         v = PeerView(adv(1))

@@ -120,6 +120,68 @@ class TestProtocolTraffic:
             assert rdv.router.has_route(member)
 
 
+class TestProbeTimeout:
+    DEAD = "tcp://nowhere:9701"
+
+    def probe_log(self, proto):
+        sent = []
+        send = proto._send
+
+        def recording_send(address, dst_peer, body, size):
+            sent.append((proto.sim.now, address))
+            send(address, dst_peer, body, size)
+
+        proto._send = recording_send
+        return sent
+
+    def test_probe_outstanding_until_its_deadline(self):
+        sim, overlay = build_rdv_overlay(2, probe_timeout=10 * SECONDS)
+        sim.run(until=1 * MINUTES)
+        proto = overlay.rendezvous[0].peerview_protocol
+        sent = self.probe_log(proto)
+        start = sim.now
+        proto._probe_address(self.DEAD)
+        assert proto._pending_probes[self.DEAD] == start + 10 * SECONDS
+        sim.run(until=start + 9.5 * SECONDS)
+        proto._probe_address(self.DEAD)  # inside the timeout: suppressed
+        sim.run(until=start + 10 * SECONDS)
+        proto._probe_address(self.DEAD)  # at the deadline: sent again
+        sim.run(until=start + 25 * SECONDS)
+        proto._probe_address(self.DEAD)  # after the deadline: sent
+        assert [t for t, a in sent if a == self.DEAD] == [
+            start, start + 10 * SECONDS, start + 25 * SECONDS,
+        ]
+
+    def test_probe_schedules_no_timer(self):
+        sim, overlay = build_rdv_overlay(2)
+        sim.run(until=1 * MINUTES)
+        proto = overlay.rendezvous[0].peerview_protocol
+        before = sim.pending_events
+        proto._probe_address(self.DEAD)
+        # nobody is bound at the address, so the send queues nothing,
+        # and the probe itself leaves no timeout event behind
+        assert sim.pending_events == before
+
+    def test_stop_clears_outstanding_probes(self):
+        sim, overlay = build_rdv_overlay(2)
+        sim.run(until=1 * MINUTES)
+        rdv = overlay.rendezvous[0]
+        rdv.peerview_protocol._probe_address(self.DEAD)
+        assert rdv.peerview_protocol._pending_probes
+        rdv.stop()
+        assert rdv.peerview_protocol._pending_probes == {}
+
+    def test_response_clears_the_probe(self):
+        sim, overlay = build_rdv_overlay(2)
+        sim.run(until=1 * MINUTES)
+        proto = overlay.rendezvous[0].peerview_protocol
+        other = overlay.rendezvous[1].endpoint.transport_address
+        proto._probe_address(other)
+        assert other in proto._pending_probes
+        sim.run(until=sim.now + 1 * SECONDS)  # response after ~2 latencies
+        assert other not in proto._pending_probes
+
+
 class TestFailureHandling:
     def test_dead_peer_eventually_expires_from_views(self):
         sim, overlay = build_rdv_overlay(

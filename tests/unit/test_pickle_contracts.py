@@ -13,6 +13,7 @@ audited type; each asserts both directions of the contract:
 
 import os
 import pickle
+import weakref
 
 import pytest
 
@@ -21,7 +22,9 @@ from repro.ids import NET_PEER_GROUP_ID, PeerID
 from repro.ids.intern import IdInternTable
 from repro.network.latency import ConstantLatency
 from repro.network.transport import Network
+from repro.discovery.service import DiscoveryQueryPayload
 from repro.rendezvous.peerview import PeerView
+from repro.resolver.messages import ResolverQuery
 from repro.sim import Simulator
 from repro.sim.kernel import _DETACHED, EventHandle, SchedulingError
 from repro.sim.rng import RngRegistry
@@ -224,3 +227,38 @@ class TestPeerView:
         queried = self._view()
         queried.ordered_ids()
         assert pickle.dumps(quiet) == pickle.dumps(queried)
+
+
+class TestResolverQuery:
+    """Slotted, with a weakref slot: tooling follows received queries
+    by weak reference, and queries sit in pending events that
+    checkpoints pickle."""
+
+    def _query(self):
+        return ResolverQuery(
+            "jxta.service.discovery", 7, pid(3), ["tcp://host-3:9701"],
+            DiscoveryQueryPayload("jxta:PA", "Name", "item-1"), hop_count=4,
+        )
+
+    def test_round_trip(self):
+        query = self._query()
+        clone = pickle.loads(pickle.dumps(query))
+        assert clone == query
+        assert clone is not query
+        assert clone.size_bytes() == query.size_bytes()
+        assert not hasattr(clone, "__dict__")
+
+    def test_weak_reference(self):
+        query = self._query()
+        ref = weakref.ref(query)
+        assert ref() is query
+        clone = pickle.loads(pickle.dumps(query))
+        assert weakref.ref(clone)() is clone
+        del query
+        assert ref() is None
+
+    def test_pickle_bytes_independent_of_weak_references(self):
+        plain = self._query()
+        referenced = self._query()
+        ref = weakref.ref(referenced)  # noqa: F841 (kept alive)
+        assert pickle.dumps(plain) == pickle.dumps(referenced)
