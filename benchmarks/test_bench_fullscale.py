@@ -50,9 +50,10 @@ def test_fullscale_steady_state_throughput(benchmark):
     def advance():
         deadline[0] += ROUND_SIM_MINUTES * MINUTES
         # net allocated-block growth per fired event over the round:
-        # with the steady-state pools warm this should be ~0 (the
-        # getallocatedblocks delta is what the object pooling exists
-        # to eliminate); the last round's value lands on the recorded
+        # per-event plumbing (handles, envelopes, message shells) is
+        # freed by refcount once the event returns, so this should
+        # stay near zero; a positive drift means something per event
+        # is retained.  The last round's value lands on the recorded
         # trajectory via extra_info
         blocks_before = sys.getallocatedblocks()
         events_before = sim.events_fired

@@ -58,12 +58,6 @@ class EndpointMessage:
     origin_address: str = ""
     ttl: int = DEFAULT_TTL
     hops_taken: int = 0
-    #: True only while a pooled message shell is in flight: the sender
-    #: acquired it from the network's message free list and the
-    #: network returns it there after the delivery callback.  Senders
-    #: must only set this on messages whose receivers do not retain
-    #: the shell (bodies may be retained — they are separate objects).
-    recyclable: bool = False
 
     def size_bytes(self) -> int:
         # _body_size inlined: computed once per message sent
@@ -73,14 +67,9 @@ class EndpointMessage:
         return MESSAGE_HEADER_BYTES + _body_size(self.body)
 
     def forwarded(self) -> "EndpointMessage":
-        """Copy with TTL decremented / hop count incremented.  The
-        copy is never recyclable: a relay queue may retain it past the
-        next delivery callback."""
+        """Copy with TTL decremented / hop count incremented."""
         return replace(
-            self,
-            ttl=self.ttl - 1,
-            hops_taken=self.hops_taken + 1,
-            recyclable=False,
+            self, ttl=self.ttl - 1, hops_taken=self.hops_taken + 1
         )
 
 

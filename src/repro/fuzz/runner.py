@@ -24,8 +24,6 @@ Oracles (:func:`check_case`):
 ``scheduler``
     The same case re-run under the *other* kernel scheduler
     (wheel vs heap) must produce a byte-identical kernel trace digest.
-``pooling``
-    The same case with object pooling flipped must be trace-invisible.
 ``snapshot``
     Pausing at mid-run, snapshotting, continuing — and separately
     restoring the snapshot and continuing — must both reproduce the
@@ -69,7 +67,7 @@ from repro.workload import WorkloadEngine, WorkloadSpec, WorkloadTraceRecorder
 
 #: the oracle battery, in evaluation order
 ORACLES: Tuple[str, ...] = (
-    "invariants", "scheduler", "pooling", "snapshot", "replay",
+    "invariants", "scheduler", "snapshot", "replay",
 )
 
 #: per-request timeout of fuzz workloads (short: cases are small)
@@ -123,17 +121,8 @@ def _scheduler(override: Optional[str]) -> str:
     )
 
 
-def _pooling(override: Optional[bool]) -> bool:
-    return (
-        override
-        if override is not None
-        else os.environ.get("REPRO_POOLING", "1") != "0"
-    )
-
-
 def bootstrap_spec(
-    case: FuzzCase, scheduler: Optional[str] = None,
-    pooling: Optional[bool] = None,
+    case: FuzzCase, scheduler: Optional[str] = None
 ) -> Dict[str, Any]:
     """Checkpoint key of a case's fault-free bootstrap prefix.  Keyed
     on everything the prefix depends on — actions and workload traffic
@@ -151,17 +140,14 @@ def bootstrap_spec(
         "bootstrap_time": BOOTSTRAP_TIME,
         "config": asdict(platform_config_of(case)),
         "scheduler": _scheduler(scheduler),
-        "pooling": _pooling(pooling),
     }
 
 
-def _deploy(
-    case: FuzzCase, scheduler: Optional[str], pooling: Optional[bool]
-):
+def _deploy(case: FuzzCase, scheduler: Optional[str]):
     """Cold bootstrap: deploy, start, run fault-free to BOOTSTRAP_TIME."""
     sim = Simulator(seed=case.seed, scheduler=_scheduler(scheduler))
     recorder = KernelTraceRecorder(sim)
-    network = Network(sim, pooling=_pooling(pooling))
+    network = Network(sim)
     spec = workload_spec_of(case)
     overlay = build_overlay(
         sim, network, platform_config_of(case),
@@ -180,10 +166,8 @@ def _deploy(
     return network, overlay, recorder
 
 
-def _build_checkpoint(
-    case: FuzzCase, scheduler: Optional[str], pooling: Optional[bool]
-) -> bytes:
-    network, overlay, recorder = _deploy(case, scheduler, pooling)
+def _build_checkpoint(case: FuzzCase, scheduler: Optional[str]) -> bytes:
+    network, overlay, recorder = _deploy(case, scheduler)
     blob = snapshot_network(
         network, extra={"overlay": overlay, "recorder": recorder}
     )
@@ -191,17 +175,12 @@ def _build_checkpoint(
     return blob
 
 
-def _bootstrap(
-    case: FuzzCase,
-    scheduler: Optional[str],
-    pooling: Optional[bool],
-    store,
-):
+def _bootstrap(case: FuzzCase, scheduler: Optional[str], store):
     if store is None:
-        return _deploy(case, scheduler, pooling)
+        return _deploy(case, scheduler)
     blob, _hit = store.load_or_build(
-        bootstrap_spec(case, scheduler, pooling),
-        lambda: _build_checkpoint(case, scheduler, pooling),
+        bootstrap_spec(case, scheduler),
+        lambda: _build_checkpoint(case, scheduler),
     )
     network, extra = restore_network(blob)
     return network, extra["overlay"], extra["recorder"]
@@ -239,7 +218,6 @@ def _coverage_keys(
 def run_case(
     case: FuzzCase,
     scheduler: Optional[str] = None,
-    pooling: Optional[bool] = None,
     store=None,
     record: bool = False,
     replay_ops: Optional[Sequence[Any]] = None,
@@ -248,9 +226,7 @@ def run_case(
     inside a private metrics session."""
     session = activate(ObsSession(metrics=True))
     try:
-        network, overlay, recorder = _bootstrap(
-            case, scheduler, pooling, store
-        )
+        network, overlay, recorder = _bootstrap(case, scheduler, store)
         sim = network.sim
         log = EventLog()
         engine = ScenarioEngine(
@@ -311,7 +287,7 @@ def run_case_with_midpoint_snapshot(
     t_mid = round((BOOTSTRAP_TIME + case.duration) / 2.0, 1)
     session = activate(ObsSession(metrics=True))
     try:
-        network, overlay, recorder = _bootstrap(case, None, None, store)
+        network, overlay, recorder = _bootstrap(case, None, store)
         sim = network.sim
         log = EventLog()
         engine = ScenarioEngine(
@@ -422,20 +398,6 @@ def check_case(
                     detail=(
                         f"kernel digests diverge: {primary}="
                         f"{base.digest[:12]} {other}={alt.digest[:12]}"
-                    ),
-                )
-            )
-
-    if "pooling" in oracles:
-        alt = run_case(case, pooling=not _pooling(None), store=store)
-        if alt.digest != base.digest:
-            failures.append(
-                Failure(
-                    oracle="pooling",
-                    signature="pooling-equivalence",
-                    detail=(
-                        f"kernel digests diverge with pooling flipped: "
-                        f"{base.digest[:12]} vs {alt.digest[:12]}"
                     ),
                 )
             )

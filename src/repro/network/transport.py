@@ -19,17 +19,16 @@ are dropped, exactly like TCP connect failures to a dead host.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.ids.intern import IdInternTable
 from repro.network.latency import Grid5000Latency, LatencyModel
 from repro.obs import runtime as _obs_runtime
-from repro.network.message import Envelope, _next_envelope_id
+from repro.network.message import Envelope
 from repro.network.site import Node
 from repro.network.stats import TrafficStats
-from repro.sim.kernel import _HANDLE_POOL_MAX, Simulator
+from repro.sim.kernel import Simulator
 
 Handler = Callable[[Envelope], None]
 
@@ -37,13 +36,6 @@ Handler = Callable[[Envelope], None]
 DEFAULT_BANDWIDTH_BPS: float = 1e9
 #: Per-message software overhead (XML parse/emit + stack traversal).
 DEFAULT_SW_OVERHEAD: float = 0.8e-3
-
-#: Envelope free-list cap: bounds how many idle envelopes a network
-#: keeps around between delivery bursts.
-_ENVELOPE_POOL_MAX = 4096
-
-#: Message-shell free-list cap (see :attr:`Network.message_pool`).
-_MESSAGE_POOL_MAX = 4096
 
 
 class DeliveryError(Exception):
@@ -105,15 +97,6 @@ class Network:
     loss_rate:
         Probability a message silently disappears (default 0, like the
         paper's controlled testbed).
-    pooling:
-        Recycle delivered envelopes and fired deliver-timer handles
-        through per-network/per-simulator free lists, making the
-        steady-state send path allocation-free.  Defaults to the
-        ``REPRO_POOLING`` environment variable (on unless ``0``).
-        Delivery handlers (and observability recorders) must not
-        retain an envelope past the delivery callback — it is re-armed
-        in place by a later send.  ``REPRO_POOL_DEBUG=1`` adds
-        double-release integrity checks.
     """
 
     def __init__(
@@ -124,7 +107,6 @@ class Network:
         sw_overhead: float = DEFAULT_SW_OVERHEAD,
         loss_rate: float = 0.0,
         egress_queueing: bool = True,
-        pooling: Optional[bool] = None,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be > 0 (got {bandwidth_bps})")
@@ -172,30 +154,6 @@ class Network:
         # fixed for the network's lifetime)
         self._latency_delay = self.latency.delay
         self._schedule = sim.schedule
-        if pooling is None:
-            pooling = os.environ.get("REPRO_POOLING", "1") != "0"
-        #: steady-state recycling of envelopes + deliver handles
-        self.pooling = pooling
-        self._envelope_pool: list[Envelope] = []
-        #: Free list of endpoint message *shells* (the payload layer's
-        #: counterpart to the envelope pool).  Protocols that know
-        #: their receivers never retain the shell — the peerview
-        #: protocol is the volume sender — acquire shells here and
-        #: mark them ``recyclable``; the pooled delivery path returns
-        #: them after the delivery callback.  The transport stays
-        #: payload-agnostic: it only honours the ``recyclable`` flag.
-        self.message_pool: list = []
-        self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
-        self._env_pool_ids: set[int] = set()
-        self._acquire_handle = sim.acquire_handle
-        self._release_handle = sim.release_handle
-        self._reschedule = sim.reschedule
-        self._schedule_recycled = sim.schedule_recycled
-        # the non-debug delivery path returns handles to the kernel's
-        # free list inline (one bounds-checked append) instead of
-        # through release_handle; the list object is stable for the
-        # simulator's lifetime
-        self._handle_pool = sim._handle_pool
         # Grid'5000 fast path: reuse the site-name pair tuple the stats
         # counter needs anyway to probe the model's base-delay cache
         # directly, and draw the jitter inline — exactly the arithmetic
@@ -220,31 +178,6 @@ class Network:
         self.obs = None
         if _obs_runtime._stack:
             _obs_runtime._stack[-1].adopt(self)
-
-    # ------------------------------------------------------------------
-    # pickling (repro.snapshot)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Everything round-trips except the id()-based pool-integrity
-        set, which is meaningless in another process and is rebuilt
-        from the envelope pool's contents on restore.  The cached bound
-        methods (``_schedule``, ``_latency_delay``, ...) pickle as
-        ordinary bound methods of the memo-shared simulator/latency
-        objects, so the restored network keeps pointing at the restored
-        simulator."""
-        state = dict(self.__dict__)
-        state["_env_pool_ids"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # integrity checking follows the restoring process's environment
-        self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
-        self._env_pool_ids = (
-            {id(e) for e in self._envelope_pool}
-            if self._pool_debug
-            else set()
-        )
 
     # ------------------------------------------------------------------
     # attachment
@@ -352,26 +285,7 @@ class Network:
         src_site = src_node.site
 
         now = self._clock._now
-        pool = self._envelope_pool
-        if pool and self.pooling:
-            # recycle a delivered envelope: direct field writes keep
-            # the construction semantics (size validation, fresh
-            # envelope_id) without the allocation or the __init__ call
-            if size_bytes <= 0:
-                raise ValueError(
-                    f"size_bytes must be > 0 (got {size_bytes})"
-                )
-            envelope = pool.pop()
-            if self._pool_debug:
-                self._env_pool_ids.discard(id(envelope))
-            envelope.src = src
-            envelope.dst = dst
-            envelope.payload = payload
-            envelope.size_bytes = size_bytes
-            envelope.envelope_id = _next_envelope_id()
-            envelope.sent_at = now
-        else:
-            envelope = Envelope(src, dst, payload, size_bytes, 0, now)
+        envelope = Envelope(src, dst, payload, size_bytes, 0, now)
         try:
             dst_site = endpoints[dst][0].site
             dst_dead = False
@@ -452,16 +366,6 @@ class Network:
                 if on_drop is not None:
                     self._schedule(delay, on_drop, envelope, label="net.drop")
                 return envelope
-            if self.pooling:
-                # the steady-state path: the deliver timer re-arms a
-                # recycled fired handle (same "net.deliver" label, same
-                # seq draw — kernel traces are byte-identical) and
-                # hands it to _deliver, which returns handle and
-                # envelope to their pools after the delivery callback
-                self._schedule_recycled(
-                    delay, self._deliver, envelope, on_drop, "net.deliver"
-                )
-                return envelope
             self._schedule(
                 delay, self._deliver, envelope, on_drop, label="net.deliver"
             )
@@ -496,18 +400,12 @@ class Network:
                 self._schedule(delay, on_drop, envelope, label="net.drop")
             return envelope
 
-        if self.pooling and not duplicates:
-            self._schedule_recycled(
-                delay, self._deliver, envelope, on_drop, "net.deliver"
-            )
-            return envelope
         self._schedule(
             delay, self._deliver, envelope, on_drop, label="net.deliver"
         )
         for _ in range(duplicates):
             self.faulted_duplicates += 1
-            # duplicated deliveries share one envelope, so none of
-            # them may recycle it: all go through the unpooled path
+            # duplicated deliveries share one envelope
             self._schedule(
                 delay, self._deliver, envelope, None, label="net.deliver.dup"
             )
@@ -517,7 +415,6 @@ class Network:
         self,
         envelope: Envelope,
         on_drop: Optional[Callable[[Envelope], None]],
-        handle=None,
     ) -> None:
         try:
             entry = self._endpoints[envelope.dst]
@@ -526,58 +423,6 @@ class Network:
             self.stats.record_drop()
             if on_drop is not None:
                 on_drop(envelope)
-            if handle is not None:
-                self._release_handle(handle)
-                if on_drop is None:
-                    self._release_envelope(envelope)
             return
         self.stats.messages_delivered += 1
         entry[1](envelope)
-        if handle is not None:
-            if self._pool_debug:
-                # debug keeps the integrity-checked release methods
-                self._release_handle(handle)
-                self._release_envelope(envelope)
-            else:
-                # inlined release_handle + _release_envelope: two
-                # bounds-checked appends instead of two Python frames
-                # on every delivered message
-                if handle._state is False:
-                    hpool = self._handle_pool
-                    if len(hpool) < _HANDLE_POOL_MAX:
-                        hpool.append(handle)
-                epool = self._envelope_pool
-                if len(epool) < _ENVELOPE_POOL_MAX:
-                    epool.append(envelope)
-            # recycle the message shell too (only pooled — never
-            # duplicated — deliveries reach this branch, so a shell
-            # is released at most once per flight); the try/except
-            # stays duck-typed for payloads without the flag while
-            # reading it as a plain attribute on endpoint messages
-            payload = envelope.payload
-            try:
-                recyclable = payload.recyclable
-            except AttributeError:
-                recyclable = False
-            if recyclable:
-                payload.recyclable = False
-                mpool = self.message_pool
-                if len(mpool) < _MESSAGE_POOL_MAX:
-                    mpool.append(payload)
-
-    def _release_envelope(self, envelope: Envelope) -> None:
-        """Return a delivered envelope to the free list.  The payload
-        reference is kept — clearing it would surprise senders that
-        still hold the envelope returned by :meth:`send` — and is
-        overwritten on reuse."""
-        pool = self._envelope_pool
-        if self._pool_debug:
-            eid = id(envelope)
-            if eid in self._env_pool_ids:
-                raise DeliveryError(
-                    f"double release of pooled envelope {envelope!r}"
-                )
-            if len(pool) < _ENVELOPE_POOL_MAX:
-                self._env_pool_ids.add(eid)
-        if len(pool) < _ENVELOPE_POOL_MAX:
-            pool.append(envelope)

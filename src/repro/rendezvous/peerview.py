@@ -49,9 +49,6 @@ from repro.ids.jxtaid import PeerID
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: Entry free-list cap per view (see ``PeerView._entry_pool``).
-_ENTRY_POOL_MAX = 1024
-
 
 def _canary_enabled() -> bool:
     """True when the *planted* fuzzing canary bug is armed.
@@ -139,11 +136,6 @@ class PeerView:
         #: lazy expiry records, (last_refreshed when pushed, key)
         self._expiry_heap: List[Tuple[float, int]] = []
         self._listeners: List[PeerViewListener] = []
-        #: free list of removed entries: the expire/re-add churn of
-        #: phase 2/3 recycles entry objects instead of allocating.
-        #: Callers must not retain an entry past its removal — a later
-        #: add re-arms it in place (same contract as pooled envelopes).
-        self._entry_pool: List[PeerViewEntry] = []
         self.adds = 0
         self.removes = 0
 
@@ -199,16 +191,13 @@ class PeerView:
     # pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Snapshot state without derived/recyclable fields.
-
-        ``_ordered_view`` is a pure memo over ``_order`` (rebuilt on
-        the next ``ordered_ids`` call) and ``_entry_pool`` is a free
-        list of dead entries; both depend on *when* the view was last
-        queried or churned, not on membership, so keeping them would
-        make pickle bytes vary between otherwise-identical views."""
+        """Snapshot state without the derived ``_ordered_view``: a pure
+        memo over ``_order`` (rebuilt on the next ``ordered_ids`` call)
+        that depends on *when* the view was last queried, not on
+        membership, so keeping it would make pickle bytes vary between
+        otherwise-identical views."""
         state = self.__dict__.copy()
         state["_ordered_view"] = None
-        state["_entry_pool"] = []
         return state
 
     # ------------------------------------------------------------------
@@ -258,15 +247,7 @@ class PeerView:
         membership before it gets here; re-deriving all three facts in
         :meth:`upsert` was measurable at full scale."""
         peer_id = adv.rdv_peer_id
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry.adv = adv
-            entry.first_seen = now
-            entry.last_refreshed = now
-        else:
-            entry = PeerViewEntry(adv=adv, first_seen=now, last_refreshed=now)
-        self._entries[key] = entry
+        self._entries[key] = PeerViewEntry(adv, now, now)
         self._key_seq.append(key)
         bisect.insort(self._order, (peer_id._value, key))
         _heappush(self._expiry_heap, (now, key))
@@ -285,11 +266,6 @@ class PeerView:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        pool = self._entry_pool
-        if len(pool) < _ENTRY_POOL_MAX:
-            # the adv reference is kept (overwritten on reuse), like a
-            # pooled envelope's payload
-            pool.append(entry)
         self._key_seq.remove(key)
         peer_id = self.interner.id_of(key)
         index = bisect.bisect_left(self._order, (peer_id._value,))

@@ -284,39 +284,20 @@ class PeerViewProtocol(Process):
         # inlined EndpointService.send_direct (kept there for every
         # other protocol): peerview traffic dominates a full-scale run,
         # its body sizes are precomputed, and its messages never arrive
-        # with origin_address pre-set.  The shell comes from the
-        # network's message free list when one is idle — field writes
-        # replace the dataclass __init__ — and is marked recyclable:
-        # peerview receivers never retain the shell (only bodies), so
-        # the pooled delivery path returns it after the callback.
+        # with origin_address pre-set
         endpoint = self.endpoint
         endpoint.messages_out += 1
-        net = self._net
-        mpool = net.message_pool
-        if mpool:
-            message = mpool.pop()
-            message.src_peer = self._peer_id
-            message.dst_peer = dst_peer
-            message.service_name = PEERVIEW_SERVICE_NAME
-            message.service_param = self.group_param
-            message.body = body
-            message.origin_address = endpoint.advertised_address
-            message.ttl = DEFAULT_TTL
-            message.hops_taken = 0
-            message.recyclable = True
-        else:
-            message = EndpointMessage(
-                self._peer_id,
-                dst_peer,
-                PEERVIEW_SERVICE_NAME,
-                self.group_param,
-                body,
-                endpoint.advertised_address,
-                DEFAULT_TTL,
-                0,
-                True,
-            )
-        net.send(self._addr, address, message, size)
+        message = EndpointMessage(
+            self._peer_id,
+            dst_peer,
+            PEERVIEW_SERVICE_NAME,
+            self.group_param,
+            body,
+            endpoint.advertised_address,
+            DEFAULT_TTL,
+            0,
+        )
+        self._net.send(self._addr, address, message, size)
 
     # ------------------------------------------------------------------
     # receiving

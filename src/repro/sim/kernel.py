@@ -4,8 +4,8 @@ Design notes
 ------------
 * The scheduler is **two-tier**.  The *active window* is a binary heap
   of ``(time, seq, handle, fn, args)`` tuples (``_queue``) covering the
-  next ``_WHEEL_WIDTH`` seconds of simulated time; the run loops pop
-  straight off it, so their hot paths are identical to a plain-heap
+  next ``_WHEEL_WIDTH`` seconds of simulated time; the run loop pops
+  straight off it, so its hot path is identical to a plain-heap
   kernel.  Everything further out lives in a **timer wheel**: 128
   slots of 0.5 s (64 s span) whose buckets are *unsorted* lists —
   scheduling a protocol timer is a C-speed ``list.append`` instead of
@@ -13,12 +13,13 @@ Design notes
   Events beyond the wheel horizon (lease renewals, expiration sweeps)
   wait in an overflow heap and migrate inward as the horizon advances.
   When the active window drains, :meth:`Simulator._refill` slides the
-  window one slot forward: filter the bucket's tombstones, heapify the
-  survivors, go.  The slot width is a power of two, so slot arithmetic
-  (``int(time * 2.0)``) is float-exact and the fire order is the exact
-  global ``(time, seq)`` order — bit-for-bit the same as the pure-heap
-  scheduler (``REPRO_SCHEDULER=heap`` forces that fallback, and the
-  determinism tests compare the two byte-for-byte).
+  window one slot forward: filter the bucket's tombstones, sort the
+  survivors straight into the empty active heap (a sorted list is a
+  valid heap), go.  The slot width is a power of two, so slot
+  arithmetic (``int(time * 2.0)``) is float-exact and the fire order
+  is the exact global ``(time, seq)`` order — bit-for-bit the same as
+  the pure-heap scheduler (``REPRO_SCHEDULER=heap`` forces that
+  fallback, and the determinism tests compare the two byte-for-byte).
 * ``seq`` is a monotonically increasing tie-breaker so that events
   scheduled for the same instant fire in FIFO order — this makes every
   run fully deterministic for a given seed.  Tuples (rather than bare
@@ -35,31 +36,20 @@ Design notes
   mechanism under ``REPRO_SCHEDULER=heap``).
 * Periodic timers can *re-arm* their existing handle through
   :meth:`Simulator.reschedule` instead of allocating a fresh one per
-  tick — at r = 580 the peerview/SRDI/lease tick storm is millions of
-  avoided allocations over a paper-scale run.
-* One-shot event plumbing is pooled: :meth:`Simulator.acquire_handle`
-  hands out a *fired* handle from a per-simulator free list and
-  :meth:`Simulator.release_handle` returns it after the firing, so a
-  steady-state message send (the transport's deliver timer) re-arms a
-  recycled handle via ``reschedule`` instead of allocating.  Pool
-  integrity checks (double release, re-arm of a pool-resident handle)
-  are compiled in behind ``REPRO_POOL_DEBUG=1``.
-* When a wheel slot migrates inward, its survivors are *sorted once*
-  into a batch list (``_batch``) instead of heapified into the active
-  queue: the run loops then merge the batch cursor against the heap
-  head with a single C tuple compare per event, so the heap only ever
-  holds events scheduled *into* the current window and the common
-  case — a cohort of protocol timers sharing a slot — dispatches with
-  no per-event sift at all.  ``(time, seq)`` keys are unique, so the
-  merge reproduces the exact global fire order of the pure-heap
-  scheduler, bit for bit.
+  tick.
 * Live-event accounting is O(1): ``pending_events`` is derived from
   the scheduled/fired/cancelled counters instead of scanning tiers.
+* ``run`` is **one loop** for every mode: pop the next entry, skip it
+  if cancelled, stop at the ``until`` deadline (none when ``until`` is
+  None), fire it, and return after the event if :meth:`Simulator.stop`
+  was called.  Trace hooks, cancellations and ``stop`` take effect
+  mid-run simply because the loop re-reads ``_hooks_active`` and
+  ``_stop_requested`` after every event.
 * ``schedule`` and the ``run`` loop are deliberately inlined (no
   helper-call chain, handle construction without an ``__init__``
-  frame, a no-hook fast path, ``__slots__`` everywhere): the
-  paper-scale 580-peer run executes ~2 M events, so every avoided
-  Python call is minutes of wall clock.
+  frame, ``__slots__`` everywhere): the paper-scale 580-peer run
+  executes ~2 M events, so every avoided Python call is minutes of
+  wall clock.
 * ``run`` suspends the *cyclic* garbage collector while the loop is
   hot.  Event plumbing (handles, heap tuples, envelopes) is freed
   promptly by reference counting, but every allocation otherwise
@@ -100,11 +90,6 @@ _WHEEL_SPAN = _WHEEL_SLOTS * _WHEEL_WIDTH  # 64 s horizon
 
 #: Recognised scheduler implementations (``REPRO_SCHEDULER``).
 SCHEDULERS = ("wheel", "heap")
-
-#: Handle free-list cap: beyond this the pool stops growing and extra
-#: releases fall to the garbage collector.  Steady-state in-flight
-#: message counts sit far below this even at r = 1160.
-_HANDLE_POOL_MAX = 8192
 
 #: Pending handles with no owning simulator (direct construction)
 #: carry this sentinel in ``_state`` instead of a Simulator.
@@ -246,11 +231,8 @@ class Simulator:
         "_queue", "_seq", "_events_fired", "_cancelled", "_dead",
         "_use_wheel", "_wheel", "_wheel_count", "_overflow",
         "_next_slot", "_win_end", "_wheel_limit",
-        "_batch", "_batch_pos",
-        "_max_events", "_running", "_stop_requested", "_stash",
-        "_in_fast_loop",
+        "_max_events", "_running", "_stop_requested",
         "_trace_hooks", "_fire_hooks", "_done_hooks", "_hooks_active",
-        "_handle_pool", "_pool_debug", "_pool_ids",
     )
 
     def __init__(
@@ -277,7 +259,7 @@ class Simulator:
         #: total events ever cancelled (pending_events derives from it)
         self._cancelled = 0
         #: cancelled handles still resident in any tier (active queue,
-        #: wheel bucket, overflow heap, or parked stash)
+        #: wheel bucket or overflow heap)
         self._dead = 0
         if self._use_wheel:
             #: far-tier slots; each bucket is an *unsorted* entry list
@@ -300,24 +282,9 @@ class Simulator:
             self._next_slot = 0
             self._win_end = float("inf")
             self._wheel_limit = float("inf")
-        #: migrated wheel slot, sorted ascending; the run loops merge
-        #: ``_batch[_batch_pos:]`` against the active heap by a single
-        #: tuple compare per event (empty under the heap scheduler)
-        self._batch: list = []
-        self._batch_pos = 0
-        #: free list of *fired* handles for acquire/release recycling
-        self._handle_pool: list[EventHandle] = []
-        self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
-        #: ids of pool-resident handles (REPRO_POOL_DEBUG=1 only)
-        self._pool_ids: set[int] = set()
         self._max_events = max_events
         self._running = False
         self._stop_requested = False
-        #: queue contents parked by :meth:`stop` / mid-run control
-        #: changes until the run loop re-dispatches or returns
-        self._stash: Optional[list] = None
-        #: True only while ``run`` executes its check-free fast loop
-        self._in_fast_loop = False
         #: registered hooks as (hook, phases); one entry per callable
         self._trace_hooks: list[tuple[TraceHook, frozenset[str]]] = []
         #: phase-split views of ``_trace_hooks`` so the fire loop does a
@@ -348,18 +315,6 @@ class Simulator:
         derived from the schedule/fire/cancel counters rather than a
         scan of the scheduler tiers."""
         return self._seq - self._events_fired - self._cancelled
-
-    def _resident_entries(self):
-        """Every entry currently held by the scheduler, across all
-        tiers (active queue, parked stash, wheel buckets, overflow).
-        Diagnostics/test helper — never on a hot path."""
-        yield from self._queue
-        yield from self._batch[self._batch_pos:]
-        if self._stash is not None:
-            yield from self._stash
-        for bucket in self._wheel:
-            yield from bucket
-        yield from self._overflow
 
     def add_trace_hook(
         self, hook: TraceHook, phases: tuple[str, ...] = ("fire",)
@@ -427,10 +382,6 @@ class Simulator:
         self._fire_hooks = [h for h, p in self._trace_hooks if "fire" in p]
         self._done_hooks = [h for h, p in self._trace_hooks if "done" in p]
         self._hooks_active = bool(self._fire_hooks or self._done_hooks)
-        # a hook (un)registered from inside the check-free fast loop:
-        # park the queue so ``run`` re-dispatches to the hooked loop
-        if self._in_fast_loop:
-            self._park()
 
     # ------------------------------------------------------------------
     # scheduling
@@ -514,17 +465,12 @@ class Simulator:
                 "only a fired handle can be re-armed; schedule() a new "
                 "one for pending or cancelled timers"
             )
-        if self._pool_debug and id(handle) in self._pool_ids:
-            raise SchedulingError(
-                "re-arming a handle that is resident in the free list "
-                "(use after release_handle)"
-            )
         time = self.clock._now + delay
         seq = self._seq
         self._seq = seq + 1
         handle._state = self
-        # tier routing inlined: with pooled transport sends this joins
-        # schedule() as the hottest entry point in a paper-scale run
+        # tier routing inlined, as in schedule(): every periodic
+        # protocol timer re-arms through here
         if time < self._win_end:
             _heappush(self._queue, (time, seq, handle, fn, args))
         elif time < self._wheel_limit:
@@ -536,98 +482,10 @@ class Simulator:
             _heappush(self._overflow, (time, seq, handle, fn, args))
         return handle
 
-    def schedule_recycled(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        a: Any,
-        b: Any,
-        label: str = "",
-    ) -> EventHandle:
-        """Fused :meth:`acquire_handle` + :meth:`reschedule` for the
-        per-message delivery timer: schedule ``fn(a, b, handle)``
-        ``delay`` seconds from now on a recycled fired handle.
-
-        The handle rides along as the trailing callback argument so
-        the callee can release it; collapsing the acquire/re-arm pair
-        into one call removes a Python frame from every pooled
-        transport send."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule in the past (delay={delay})")
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            if self._pool_debug:
-                self._pool_ids.discard(id(handle))
-        else:
-            handle = _new_handle(EventHandle)
-        handle._label = label
-        time = self.clock._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle._state = self
-        args = (a, b, handle)
-        if time < self._win_end:
-            _heappush(self._queue, (time, seq, handle, fn, args))
-        elif time < self._wheel_limit:
-            self._wheel[int(time * _INV_WIDTH) & _WHEEL_MASK].append(
-                (time, seq, handle, fn, args)
-            )
-            self._wheel_count += 1
-        else:
-            _heappush(self._overflow, (time, seq, handle, fn, args))
-        return handle
-
-    # ------------------------------------------------------------------
-    # handle free list
-    # ------------------------------------------------------------------
-    def acquire_handle(self, label: str = "") -> EventHandle:
-        """Take a *fired* handle off the free list (or build a fresh
-        one) for use with :meth:`reschedule`.
-
-        The acquire/reschedule/:meth:`release_handle` cycle lets a hot
-        caller — the network transport scheduling one delivery per
-        message — run allocation-free in steady state: the same handle
-        objects circulate between the pool and the scheduler.  The
-        handle's trace label is (re)set here, so recycled handles are
-        indistinguishable from fresh ones in kernel traces."""
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            if self._pool_debug:
-                self._pool_ids.discard(id(handle))
-            handle._label = label
-            return handle
-        handle = _new_handle(EventHandle)
-        handle._label = label
-        handle._state = False
-        return handle
-
-    def release_handle(self, handle: EventHandle) -> None:
-        """Return a *fired* handle to the free list.
-
-        Only fired handles are poolable: a pending handle still has a
-        live scheduler entry and a cancelled one may have a tombstone
-        resident in a tier — recycling either would let one handle
-        stand behind two entries.  The caller must not touch the
-        handle after releasing it; ``REPRO_POOL_DEBUG=1`` turns a
-        double release (and a ``reschedule`` of a pool-resident
-        handle) into an immediate :class:`SchedulingError`."""
-        if handle._state is not False:
-            raise SchedulingError(
-                "only a fired handle can be released to the pool"
-            )
-        pool = self._handle_pool
-        if self._pool_debug:
-            hid = id(handle)
-            if hid in self._pool_ids:
-                raise SchedulingError(
-                    f"double release of pooled handle {handle!r}"
-                )
-            if len(pool) < _HANDLE_POOL_MAX:
-                self._pool_ids.add(hid)
-        if len(pool) < _HANDLE_POOL_MAX:
-            pool.append(handle)
+    #: Alias of :meth:`schedule`, kept by name because
+    #: ``perfbench/tracer.py`` counts kernel entry points by looking
+    #: each one up in the class ``__dict__``.
+    schedule_recycled = schedule
 
     def _push_entry(self, entry: tuple) -> None:
         """Route one entry to the tier covering its fire time."""
@@ -645,30 +503,22 @@ class Simulator:
     # ------------------------------------------------------------------
     def _refill(self) -> bool:
         """Slide the active window forward until it holds the next
-        pending events (or every tier is empty).  Returns True when
-        events are available in the active window afterwards.
+        pending events (or every tier is empty).  Returns True when the
+        active queue is non-empty afterwards.
 
-        Invariants: the active queue plus the batch remnant hold
-        exactly the entries with ``time < _win_end``; wheel buckets
-        cover ``[_win_end, _wheel_limit)``; the overflow heap holds the
-        rest.  Each step advances the window one slot: tombstones
-        filtered (this is where cancelled wheel timers die, with no
-        compaction pass), survivors *sorted once* into the batch list
-        — ``(time, seq)`` keys are unique, so a sort dispatches the
-        slot cohort in the same order heapify + N heappops would, at a
-        fraction of the compare count — and overflow entries whose
-        time dropped below the horizon dealt into their buckets."""
+        Invariants: the active queue holds exactly the entries with
+        ``time < _win_end``; wheel buckets cover ``[_win_end,
+        _wheel_limit)``; the overflow heap holds the rest.  Each step
+        advances the window one slot: tombstones filtered (this is
+        where cancelled wheel timers die, with no compaction pass),
+        survivors *sorted* straight into the empty active queue — a
+        sorted list is a valid heap, and ``(time, seq)`` keys are
+        unique, so the sort never compares handles — and overflow
+        entries whose time dropped below the horizon dealt into their
+        buckets."""
         queue = self._queue
         if queue:
             return True
-        batch = self._batch
-        if self._batch_pos < len(batch):
-            return True
-        if batch:
-            # previous batch fully consumed: recycle the list in place
-            # (the run loops hold a reference to it)
-            del batch[:]
-            self._batch_pos = 0
         if not self._use_wheel:
             return False
         wheel = self._wheel
@@ -691,21 +541,20 @@ class Simulator:
                 entry = _heappop(overflow)
                 wheel[int(entry[0] * _INV_WIDTH) & _WHEEL_MASK].append(entry)
                 self._wheel_count += 1
-            # migrate the next slot into the batch
+            # migrate the next slot into the (empty) active queue; the
+            # list is filled in place because ``run`` holds a reference
             bucket = wheel[self._next_slot & _WHEEL_MASK]
             self._next_slot += 1
             self._win_end = self._next_slot * _WHEEL_WIDTH
             self._wheel_limit = self._win_end + _WHEEL_SPAN
             if bucket:
                 total = len(bucket)
-                live = [e for e in bucket if e[2]._state is not None]
+                queue += [e for e in bucket if e[2]._state is not None]
                 bucket.clear()
                 self._wheel_count -= total
-                self._dead -= total - len(live)
-                if live:
-                    live.sort()
-                    batch[:] = live
-                    self._batch_pos = 0
+                self._dead -= total - len(queue)
+                if queue:
+                    queue.sort()
                     return True
 
     # ------------------------------------------------------------------
@@ -719,52 +568,8 @@ class Simulator:
         self._cancelled += 1
         dead = self._dead + 1
         self._dead = dead
-        if (
-            dead >= _COMPACT_MIN_DEAD
-            and dead > self.pending_events
-            # never compact while entries are parked in the stash: the
-            # rebuild would miss them and desync the dead counter
-            and self._stash is None
-        ):
+        if dead >= _COMPACT_MIN_DEAD and dead > self.pending_events:
             self._compact()
-        elif self._in_fast_loop:
-            # a queued entry just went dead under the check-free fast
-            # loop: park so ``run`` re-dispatches to the careful loop
-            self._park()
-
-    def _park(self) -> None:
-        """Move the active window (queue + batch remnant) aside so the
-        hot loops' exhaustion tests fail after the current event.  The
-        batch list is cleared *in place* — the loops hold a reference
-        to it and re-read its length per event.  The wheel tiers are
-        untouched: the loops never consume them directly, so parking
-        the window alone stops the run."""
-        if self._stash is not None:
-            return
-        batch = self._batch
-        remnant = batch[self._batch_pos:]
-        if self._queue or remnant:
-            self._stash = self._queue + remnant
-            self._queue.clear()
-            if batch:
-                del batch[:]
-                self._batch_pos = 0
-
-    def _unpark(self) -> None:
-        """Restore parked entries (merging any scheduled since — the
-        total (time, seq) order makes the fire order identical).  The
-        stash is a heap snapshot plus a sorted batch remnant, so it is
-        re-heapified unconditionally; batch entries re-enter the heap
-        legally because their times precede ``_win_end``."""
-        stash = self._stash
-        if stash is not None:
-            queue = self._queue
-            if queue:
-                queue.extend(stash)
-            else:
-                queue[:] = stash
-            _heapify(queue)
-            self._stash = None
 
     def _compact(self) -> None:
         """Drop cancelled entries from every tier and re-heapify *in
@@ -775,15 +580,6 @@ class Simulator:
         queue = self._queue
         queue[:] = [entry for entry in queue if entry[2]._state is not None]
         _heapify(queue)
-        batch = self._batch
-        pos = self._batch_pos
-        if pos < len(batch):
-            # filter the unconsumed tail in place: the cursor and the
-            # consumed prefix stay put, so a run loop mid-batch just
-            # sees a shorter (still sorted) remainder
-            batch[pos:] = [
-                e for e in batch[pos:] if e[2]._state is not None
-            ]
         if self._use_wheel:
             removed = 0
             for bucket in self._wheel:
@@ -834,22 +630,10 @@ class Simulator:
         """Execute the next pending event.  Returns False if no events
         remain in any tier."""
         queue = self._queue
-        batch = self._batch
         while True:
-            bpos = self._batch_pos
-            if bpos < len(batch):
-                entry = batch[bpos]
-                if queue and queue[0] < entry:
-                    entry = _heappop(queue)
-                else:
-                    self._batch_pos = bpos + 1
-            elif queue:
-                entry = _heappop(queue)
-            else:
-                if not self._refill():
-                    return False
-                continue
-            t, _, handle, fn, args = entry
+            if not queue and not self._refill():
+                return False
+            t, _, handle, fn, args = _heappop(queue)
             if handle._state is None:
                 self._dead -= 1
                 continue
@@ -857,10 +641,15 @@ class Simulator:
             return True
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run events until the queue drains or simulated ``until`` is
-        reached.  When ``until`` is given the clock is advanced to exactly
-        ``until`` even if the queue drains earlier, so back-to-back
-        ``run(until=...)`` calls behave like a sliced timeline."""
+        """Run events in ``(time, seq)`` order until the queue drains,
+        the next event lies beyond simulated ``until``, or an event
+        calls :meth:`stop`.
+
+        Unless the run was stopped, ``until`` also sets where the clock
+        ends: it is advanced to exactly ``until`` even if the queue
+        drains earlier, so back-to-back ``run(until=...)`` calls behave
+        like a sliced timeline.  ``until=None`` means no deadline and
+        no final clock advance."""
         if self._running:
             raise SchedulingError("simulator is not reentrant")
         self._running = True
@@ -869,12 +658,12 @@ class Simulator:
         # clock and heappop bound to locals.  The queue list is only
         # ever mutated in place (push/pop/refill/compact), so the
         # bindings stay valid across event callbacks.  ``_stop_requested``
-        # and the hook lists are re-read every iteration because callbacks
-        # may call ``stop`` or add/remove hooks mid-run.
+        # and ``_hooks_active`` are re-read every iteration because
+        # callbacks may call ``stop`` or add/remove hooks mid-run.
         queue = self._queue
-        batch = self._batch
         clock = self.clock
         pop = _heappop
+        deadline = float("inf") if until is None else until
         max_events = self._max_events
         limit = float("inf") if max_events is None else max_events
         # ``fired`` is batched in a local and flushed in ``finally`` (and
@@ -886,154 +675,22 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            if until is None:
-                # Drain variants: no deadline check, no head peek —
-                # pop straight off the heap.  Mid-run control changes
-                # (``stop``, ``cancel``, hook registration) *park* the
-                # queue in ``_stash``, so the loop conditions stay bare
-                # truthiness tests with no per-event flag reads; the
-                # dispatcher below then re-selects the right loop (and
-                # refills the window from the wheel when it drains).
-                while True:
-                    if max_events is None and not (
-                        self._hooks_active or self._dead
-                    ):
-                        # fast loop: nothing queued is cancelled, no
-                        # hooks, no event limit — merge the sorted
-                        # batch cursor against the heap head and call.
-                        # Any of those appearing mid-run parks the
-                        # window (clearing the batch list in place, so
-                        # the re-read length below goes to zero) and
-                        # bounces us back to the dispatcher.
-                        self._in_fast_loop = True
-                        try:
-                            pos = self._batch_pos
-                            nbatch = len(batch)
-                            while True:
-                                if pos < nbatch:
-                                    entry = batch[pos]
-                                    if queue and queue[0] < entry:
-                                        entry = pop(queue)
-                                    else:
-                                        pos += 1
-                                        self._batch_pos = pos
-                                elif queue:
-                                    entry = pop(queue)
-                                else:
-                                    break
-                                t, _, handle, fn, args = entry
-                                # takes are nondecreasing in time, so
-                                # this never moves the clock backwards
-                                clock._now = t
-                                handle._state = False
-                                fn(*args)
-                                nbatch = len(batch)
-                        finally:
-                            self._in_fast_loop = False
-                            # fired count reconstructed from the O(1)
-                            # accounting identity instead of a per-event
-                            # increment: every event ever scheduled was
-                            # fired unless cancelled or still resident
-                            # in a tier (active queue, batch remnant,
-                            # parked stash, wheel bucket or overflow
-                            # heap — where ``_dead`` entries don't
-                            # count as live).  Exact at any instant,
-                            # including mid-loop exceptions.
-                            stash = self._stash
-                            fired = (
-                                self._seq - self._cancelled - len(queue)
-                                - (len(batch) - self._batch_pos)
-                                - (len(stash) if stash is not None else 0)
-                                - self._wheel_count - len(self._overflow)
-                                + self._dead
-                            )
-                    else:
-                        # careful loop: same batch/heap merge, with
-                        # tombstone skips, the event limit and hook
-                        # delivery.  The batch cursor is re-read every
-                        # iteration because a callback may park (stop,
-                        # hook changes) or compact mid-batch.
-                        while True:
-                            bpos = self._batch_pos
-                            if bpos < len(batch):
-                                entry = batch[bpos]
-                                if queue and queue[0] < entry:
-                                    entry = pop(queue)
-                                else:
-                                    self._batch_pos = bpos + 1
-                            elif queue:
-                                entry = pop(queue)
-                            else:
-                                break
-                            t, _, handle, fn, args = entry
-                            if handle._state is None:
-                                self._dead -= 1
-                                continue
-                            clock._now = t
-                            handle._state = False
-                            fired += 1
-                            if fired > limit:
-                                raise SimulationLimitExceeded(
-                                    f"exceeded max_events={max_events}"
-                                )
-                            if self._hooks_active:
-                                self._events_fired = fired
-                                for hook in self._fire_hooks:
-                                    hook(t, "fire", handle)
-                                fn(*args)
-                                now = clock._now
-                                for hook in self._done_hooks:
-                                    hook(now, "done", handle)
-                            else:
-                                fn(*args)
-                    if self._stop_requested:
-                        return
-                    if self._stash is not None:
-                        # parked for re-dispatch, not for stop: restore
-                        # the entries and go around (the dispatcher
-                        # will now pick the careful loop)
-                        self._unpark()
-                        continue
-                    if not self._refill():
-                        return
-            # deadline variant: peek (batch cursor vs heap head) before
-            # taking, so an event beyond ``until`` stays queued — or
-            # parked at the batch cursor — for the next slice
             while True:
-                bpos = self._batch_pos
-                if bpos < len(batch):
-                    entry = batch[bpos]
-                    from_batch = True
-                    if queue:
-                        head = queue[0]
-                        if head < entry:
-                            entry = head
-                            from_batch = False
-                elif queue:
-                    entry = queue[0]
-                    from_batch = False
-                else:
-                    # window drained inside the deadline: pull the next
-                    # one in (it may hold events at or before
-                    # ``until``) and go around
-                    if self._refill():
-                        continue
+                if not queue and not self._refill():
                     break
-                handle = entry[2]
+                entry = pop(queue)
+                t, _, handle, fn, args = entry
                 if handle._state is None:
-                    if from_batch:
-                        self._batch_pos = bpos + 1
-                    else:
-                        pop(queue)
                     self._dead -= 1
                     continue
-                t = entry[0]
-                if t > until:
-                    break  # next event is beyond ``until``
-                if from_batch:
-                    self._batch_pos = bpos + 1
-                else:
-                    pop(queue)
+                if t > deadline:
+                    # beyond ``until``: back into the heap for the next
+                    # slice (``(time, seq)`` keys are unique, so the
+                    # fire order is unchanged)
+                    _heappush(queue, entry)
+                    break
+                # pops are nondecreasing in time, so this never moves
+                # the clock backwards
                 clock._now = t
                 handle._state = False
                 fired += 1
@@ -1041,8 +698,6 @@ class Simulator:
                     raise SimulationLimitExceeded(
                         f"exceeded max_events={max_events}"
                     )
-                fn = entry[3]
-                args = entry[4]
                 if self._hooks_active:
                     self._events_fired = fired
                     for hook in self._fire_hooks:
@@ -1053,11 +708,12 @@ class Simulator:
                         hook(now, "done", handle)
                 else:
                     fn(*args)
-            if clock._now < until:
+                if self._stop_requested:
+                    return
+            if until is not None and clock._now < until:
                 clock._advance_to(until)
         finally:
             self._events_fired = fired
-            self._unpark()
             if gc_was_enabled:
                 gc.enable()
             self._running = False
@@ -1069,17 +725,14 @@ class Simulator:
         """State contract (see docs/CHECKPOINTS.md): every scheduler
         tier, the clock, the seq counter and the RNG registry pickle
         verbatim; the run-control flags reset (a snapshot is only legal
-        between ``run`` calls); the id-based pool-integrity set is
-        dropped and rebuilt from the pool contents on restore.  The
-        derived ``_fire_hooks``/``_done_hooks`` views are rebuilt from
-        ``_trace_hooks``."""
+        between ``run`` calls).  The derived ``_fire_hooks``/
+        ``_done_hooks`` views are rebuilt from ``_trace_hooks``."""
         if self._running:
             raise SchedulingError(
                 "cannot snapshot a running simulator; snapshot between "
                 "run() calls (an event boundary)"
             )
         state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_pool_ids"] = None
         state["_fire_hooks"] = None
         state["_done_hooks"] = None
         return state
@@ -1088,15 +741,7 @@ class Simulator:
         for slot, value in state.items():
             setattr(self, slot, value)
         self._running = False
-        self._in_fast_loop = False
         self._stop_requested = False
-        # integrity checking follows the *restoring* process's
-        # environment; the id() sets from the snapshotting process are
-        # meaningless here and are rebuilt from the pool contents
-        self._pool_debug = os.environ.get("REPRO_POOL_DEBUG", "") == "1"
-        self._pool_ids = (
-            {id(h) for h in self._handle_pool} if self._pool_debug else set()
-        )
         self._rebuild_hook_lists()
 
     def snapshot(self) -> bytes:
@@ -1115,18 +760,13 @@ class Simulator:
         return restore_simulator(blob)
 
     def stop(self) -> None:
-        """Request the current ``run`` call to return after the executing
-        event completes.
-
-        Implementation note: instead of a flag the hot loops would have
-        to re-read on every event, ``stop`` *parks* the pending entries
-        in ``_stash`` — the loop's ``while queue`` test then fails
-        naturally and ``run`` restores the queue before returning, so
-        no event is lost and ``pending_events`` (counter-derived) is
-        unaffected."""
+        """Make the current ``run`` call return once the executing event
+        completes.  No later event fires in that call and the clock
+        stays at the stopping event's time, even under
+        ``run(until=...)``; pending events stay queued for the next
+        ``run``.  Outside a run this is a no-op (``run`` clears the
+        request when it starts)."""
         self._stop_requested = True
-        if self._running:
-            self._park()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

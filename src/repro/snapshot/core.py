@@ -2,10 +2,10 @@
 
 A snapshot is a protocol-5 pickle of the live object graph — the
 :class:`~repro.sim.kernel.Simulator` (every scheduler tier, clock, seq
-counter, handle pool, trace hooks), the RNG registry with each named
-stream's Mersenne state, the :class:`~repro.network.Network` (endpoints,
-latency model, pools, fault controller, intern table, observability
-hub) and all per-peer protocol state reachable from queued events.
+counter, trace hooks), the RNG registry with each named stream's
+Mersenne state, the :class:`~repro.network.Network` (endpoints,
+latency model, fault controller, intern table, observability hub)
+and all per-peer protocol state reachable from queued events.
 Pickle's memo preserves shared-object identity inside one graph, so a
 restored transport still holds the *same* latency stream object as the
 restored registry, and bound-method callbacks in the event queue point
@@ -42,7 +42,7 @@ from typing import Any, Optional, Tuple
 #: Bump whenever the pickled state contract changes incompatibly
 #: (slot layouts, scheduler tier layout, RNG stream naming).  Stored
 #: checkpoints with another version are invalidated, not misread.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _MAGIC = b"repro-snap"
 

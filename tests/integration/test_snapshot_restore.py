@@ -90,7 +90,7 @@ class TestMidRunRestore:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_snapshot_bytes_are_stable(self, scheduler):
         """Snapshotting the same paused graph twice yields the same
-        bytes (caches and free lists are normalised out by the pickle
+        bytes (memo caches are normalised out by the pickle
         contracts), and re-snapshotting a restored copy is a semantic
         fixpoint: its blob restores to an identical continuation.
 

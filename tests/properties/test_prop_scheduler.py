@@ -1,12 +1,16 @@
-"""Property-based tests: wheel-vs-heap scheduler equivalence.
+"""Property-based tests: wheel-vs-heap scheduler equivalence, and both
+against a naive reference scheduler.
 
 The timer-wheel scheduler must be *observationally identical* to the
 plain binary heap: same (time, seq) fire order, same clock trajectory,
 same counters — byte for byte, for any interleaving of scheduling,
 cancellation, handle reuse (``reschedule``) and mid-run control
-changes (trace hooks and ``stop`` park the fast loop).  A generated
-program of timer operations is interpreted on one simulator of each
-flavour and the full observable logs are compared exactly.
+changes (trace hooks and ``stop``).  A generated program of timer
+operations is interpreted on one simulator of each flavour and the
+full observable logs are compared exactly.  Deadline-sliced programs
+are additionally interpreted on :class:`_ReferenceSim` — a plain list
+popped by ``min((time, seq))`` — so the one ``run`` loop is checked
+against an obviously-correct scheduler, not only against itself.
 """
 
 from hypothesis import given, settings
@@ -47,8 +51,7 @@ def _interpret(events, scheduler):
     hook_on = [False]
 
     def hook(now, phase, handle):
-        # registration alone re-routes ``run`` off the check-free fast
-        # loop; logging the phase also checks hook delivery parity
+        # logging the phase checks hook delivery parity
         log.append(("hook", now, phase, handle.label))
 
     def fire(tag, kind, aux_delay, aux_int):
@@ -84,7 +87,7 @@ def _interpret(events, scheduler):
             sim.schedule(delay, fire, str(i), kind, aux_delay, aux_int,
                          label=str(i))
         )
-    # ``stop`` events park the queue mid-run; keep draining until the
+    # ``stop`` events end a run early; keep draining until the
     # simulation is genuinely empty so post-stop behaviour is compared
     for _ in range(len(events) * 2 + 2):
         sim.run()
@@ -100,35 +103,120 @@ def test_wheel_and_heap_fire_identically(events):
     assert _interpret(events, "wheel") == _interpret(events, "heap")
 
 
-@settings(max_examples=40, deadline=None)
+class _ReferenceHandle:
+    __slots__ = ("time", "seq", "fn", "args", "sim")
+
+    def __init__(self, time, seq, fn, args, sim):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        self.sim = sim
+
+    def cancel(self):
+        pending = self.sim.pending
+        if self in pending:
+            pending.remove(self)
+            return True
+        return False
+
+
+class _ReferenceSim:
+    """The obviously-correct scheduler: every pending event in one
+    plain list, the next one found by ``min((time, seq))``.  No wheel,
+    no heap, no tombstones.  ``run`` fires events up to ``until``,
+    returns right after an event that calls ``stop`` (clock left at
+    that event), and otherwise ends with the clock at ``until``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_fired = 0
+        self.pending = []
+        self._seq = 0
+        self._stop = False
+
+    @property
+    def pending_events(self):
+        return len(self.pending)
+
+    def schedule(self, delay, fn, *args, label=""):
+        handle = _ReferenceHandle(self.now + delay, self._seq, fn, args, self)
+        self._seq += 1
+        self.pending.append(handle)
+        return handle
+
+    def stop(self):
+        self._stop = True
+
+    def run(self, until=None):
+        self._stop = False
+        while self.pending:
+            nxt = min(self.pending, key=lambda h: (h.time, h.seq))
+            if until is not None and nxt.time > until:
+                break
+            self.pending.remove(nxt)
+            self.now = nxt.time
+            self.events_fired += 1
+            nxt.fn(*nxt.args)
+            if self._stop:
+                return
+        if until is not None and self.now < until:
+            self.now = until
+
+
+def _sliced(sim, events, cuts):
+    """Interpret ``events`` as deadline slices at the cumulative
+    ``cuts``, cancelling one timer between slices, then drain.  Returns
+    the observable log and every clock reading, in order."""
+    log = []
+    clocks = []
+
+    def fire(tag, kind, aux_delay):
+        log.append((tag, sim.now))
+        clocks.append(sim.now)
+        if kind == "spawn":
+            sim.schedule(aux_delay, fire, f"{tag}c", "plain", 0.0)
+        elif kind == "stop":
+            sim.stop()
+
+    handles = [
+        sim.schedule(delay, fire, str(i), kind, aux_delay, label=str(i))
+        for i, (delay, kind, aux_delay, _aux_int) in enumerate(events)
+    ]
+    at = 0.0
+    for i, cut in enumerate(cuts):
+        at += cut
+        sim.run(until=at)
+        log.append(("slice", at, sim.now, sim.pending_events))
+        clocks.append(sim.now)
+        # cancel between slices: tombstones left resident in
+        # whichever tier currently holds the entry
+        log.append(("cancel", handles[i % len(handles)].cancel()))
+    # ``stop`` events end a drain early too; go round until empty
+    for _ in range(2 * len(events) + 2):
+        sim.run()
+        clocks.append(sim.now)
+        if sim.pending_events == 0:
+            break
+    log.append(("end", sim.now, sim.events_fired))
+    return log, clocks
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     programs,
     st.lists(delay_values, min_size=1, max_size=6),
 )
 def test_sliced_runs_match_across_schedulers(events, cuts):
-    """Deadline-sliced runs (the experiment-campaign pattern) must also
-    agree: window refills happen at different moments under slicing."""
-
-    def sliced(scheduler):
-        sim = Simulator(seed=5, scheduler=scheduler)
-        log = []
-
-        def fire(tag):
-            log.append((tag, sim.now))
-
-        handles = [
-            sim.schedule(delay, fire, i, label=str(i))
-            for i, (delay, kind, aux_delay, aux_int) in enumerate(events)
-        ]
-        at = 0.0
-        for i, cut in enumerate(cuts):
-            at += cut
-            sim.run(until=at)
-            # cancel between slices: tombstones left resident in
-            # whichever tier currently holds the entry
-            handles[i % len(handles)].cancel()
-        sim.run()
-        log.append(("end", sim.now, sim.events_fired))
-        return log
-
-    assert sliced("wheel") == sliced("heap")
+    """Deadline-sliced runs (the experiment-campaign pattern), with
+    ``stop`` and ``spawn`` events: window refills happen at different
+    moments under slicing, and ``stop`` can end a slice early.  Both
+    schedulers must match the reference event for event, and the clock
+    must never move backwards."""
+    expected, _ = _sliced(_ReferenceSim(), events, cuts)
+    for scheduler in ("wheel", "heap"):
+        log, clocks = _sliced(
+            Simulator(seed=5, scheduler=scheduler), events, cuts
+        )
+        assert log == expected, scheduler
+        assert clocks == sorted(clocks), scheduler

@@ -1,7 +1,7 @@
 """Property-based tests: checkpointing is observationally invisible.
 
-For *any* event boundary in a protocol run — any overlay size, seed,
-scheduler implementation and pooling mode — snapshotting, restoring
+For *any* event boundary in a protocol run — any overlay size, seed
+and scheduler implementation — snapshotting, restoring
 and continuing must reproduce the never-checkpointed run exactly
 (kernel fire digest, message counters, peerview contents).  And an
 in-process fork is a genuinely independent universe: mutating the
@@ -23,9 +23,9 @@ from repro.snapshot import fork_network, restore_network, snapshot_network
 END = 10 * MINUTES
 
 
-def _deploy(r, seed, scheduler, pooling):
+def _deploy(r, seed, scheduler):
     sim = Simulator(seed=seed, scheduler=scheduler)
-    network = Network(sim, pooling=pooling)
+    network = Network(sim)
     recorder = KernelTraceRecorder(sim)
     overlay = build_overlay(
         sim, network, PlatformConfig(),
@@ -58,17 +58,16 @@ scenario = st.tuples(
     st.integers(min_value=1, max_value=10_000),  # seed
     st.floats(min_value=0.01, max_value=0.99),   # boundary fraction
     st.sampled_from(["wheel", "heap"]),
-    st.booleans(),                               # pooling
 )
 
 
 @settings(max_examples=12, deadline=None)
 @given(scenario)
 def test_restore_at_any_boundary_is_invisible(params):
-    r, seed, frac, scheduler, pooling = params
-    baseline = _finish(*_deploy(r, seed, scheduler, pooling))
+    r, seed, frac, scheduler = params
+    baseline = _finish(*_deploy(r, seed, scheduler))
 
-    network, overlay, recorder = _deploy(r, seed, scheduler, pooling)
+    network, overlay, recorder = _deploy(r, seed, scheduler)
     network.sim.run(until=frac * END)  # an arbitrary event boundary
     blob = snapshot_network(
         network, extra={"overlay": overlay, "recorder": recorder}
@@ -101,7 +100,7 @@ def _diverge(network, overlay, recorder, k):
 def test_forked_universes_are_independent(seed, frac, k1, k2):
     graphs = []
     for _ in range(3):
-        network, overlay, recorder = _deploy(4, seed, "wheel", True)
+        network, overlay, recorder = _deploy(4, seed, "wheel")
         network.sim.run(until=frac * END)
         graphs.append((network, overlay, recorder))
     parent, twin, control = graphs

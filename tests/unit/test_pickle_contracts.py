@@ -1,8 +1,7 @@
 """Pickle contracts of the snapshot-critical classes.
 
 Every class that carries derived or process-local state (memo caches,
-id()-based integrity sets, free lists, the ``_DETACHED`` sentinel)
-defines an explicit ``__getstate__``/``__setstate__`` pair so a
+run-control flags, the ``_DETACHED`` sentinel) defines an explicit ``__getstate__``/``__setstate__`` pair so a
 :mod:`repro.snapshot` blob round-trips exactly.  One test class per
 audited type; each asserts both directions of the contract:
 
@@ -11,7 +10,6 @@ audited type; each asserts both directions of the contract:
 * the restored object *recomputes* it correctly on demand.
 """
 
-import os
 import pickle
 import weakref
 
@@ -103,25 +101,6 @@ class TestSimulator:
         finally:
             sim._running = False
 
-    def test_pool_ids_rebuilt_for_restoring_process(self):
-        sim = Simulator(seed=3)
-        sim.schedule(0.5, lambda: None)
-        sim.run(until=1.0)
-        blob = pickle.dumps(sim)
-        old = os.environ.get("REPRO_POOL_DEBUG")
-        os.environ["REPRO_POOL_DEBUG"] = "1"
-        try:
-            sim2 = pickle.loads(blob)
-        finally:
-            if old is None:
-                del os.environ["REPRO_POOL_DEBUG"]
-            else:
-                os.environ["REPRO_POOL_DEBUG"] = old
-        assert sim2._pool_debug
-        # rebuilt from *this* process's object identities, never the
-        # snapshotting process's meaningless id() values
-        assert sim2._pool_ids == {id(h) for h in sim2._handle_pool}
-
 
 class TestRngRegistry:
     def test_cached_stream_references_stay_shared(self):
@@ -161,24 +140,14 @@ class TestJxtaID:
 
 
 class TestNetwork:
-    def test_env_pool_ids_rebuilt_on_restore(self):
+    def test_cached_bound_methods_follow_the_restored_simulator(self):
         sim = Simulator(seed=11)
         net = Network(sim, latency=ConstantLatency(0.001))
-        blob = pickle.dumps(net)
-        old = os.environ.get("REPRO_POOL_DEBUG")
-        os.environ["REPRO_POOL_DEBUG"] = "1"
-        try:
-            net2 = pickle.loads(blob)
-        finally:
-            if old is None:
-                del os.environ["REPRO_POOL_DEBUG"]
-            else:
-                os.environ["REPRO_POOL_DEBUG"] = old
-        assert net2._pool_debug
-        assert net2._env_pool_ids == {id(e) for e in net2._envelope_pool}
-        # the restored network's cached bound methods point at the
-        # restored simulator (memo sharing), not the original
+        net2 = pickle.loads(pickle.dumps(net))
+        # memo sharing: the send path's cached bound methods point at
+        # the restored simulator, not the original
         assert net2.sim is not sim
+        assert net2._schedule.__self__ is net2.sim
 
 
 class TestAdvertisement:
@@ -211,16 +180,6 @@ class TestPeerView:
         clone = pickle.loads(pickle.dumps(view))
         assert clone._ordered_view is None
         assert clone.ordered_ids() == ordered
-
-    def test_entry_pool_not_carried(self):
-        view = self._view()
-        view.remove(pid(30), now=1.0)  # recycles the entry into the pool
-        assert view._entry_pool
-        clone = pickle.loads(pickle.dumps(view))
-        assert clone._entry_pool == []
-        # membership and counters round-trip exactly
-        assert clone.ordered_ids() == view.ordered_ids()
-        assert (clone.adds, clone.removes) == (view.adds, view.removes)
 
     def test_pickle_bytes_independent_of_query_history(self):
         quiet = self._view()

@@ -193,6 +193,52 @@ class TestRunUntil:
         assert fired == ["a", "b"]
 
 
+@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+class TestStopInsideDeadlineRun:
+    """``stop()`` called under ``run(until=...)``: the run returns after
+    the stopping event, fires nothing later, and leaves the clock at
+    the stopping event's time so the next run never moves it back."""
+
+    @staticmethod
+    def _build(scheduler):
+        sim = Simulator(scheduler=scheduler)
+        fired = []
+
+        def ev(tag):
+            fired.append((tag, sim.now))
+            if tag == "a":
+                sim.stop()
+
+        sim.schedule(1.0, ev, "a")
+        sim.schedule(1.2, ev, "b")
+        sim.schedule(10.0, ev, "c")
+        return sim, fired
+
+    def test_no_later_event_fires_after_stop(self, scheduler):
+        sim, fired = self._build(scheduler)
+        sim.run(until=100.0)
+        assert fired == [("a", 1.0)]
+        assert sim.events_fired == 1
+        assert sim.pending_events == 2
+
+    def test_clock_stays_at_the_stopping_event(self, scheduler):
+        sim, fired = self._build(scheduler)
+        sim.run(until=100.0)
+        assert sim.now == 1.0
+
+    def test_next_run_resumes_in_order_without_moving_clock_back(
+        self, scheduler
+    ):
+        sim, fired = self._build(scheduler)
+        sim.run(until=100.0)
+        clocks = [now for _, now in fired] + [sim.now]
+        sim.run(until=100.0)
+        clocks += [now for _, now in fired[1:]] + [sim.now]
+        assert fired == [("a", 1.0), ("b", 1.2), ("c", 10.0)]
+        assert clocks == sorted(clocks)
+        assert sim.now == 100.0
+
+
 class TestLimits:
     def test_max_events_guard(self):
         sim = Simulator(max_events=10)

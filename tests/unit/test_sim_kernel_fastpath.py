@@ -1,12 +1,12 @@
 """Tests for the kernel's optimised hot paths.
 
-The run loop has three regimes (check-free fast loop, careful loop,
-deadline loop) plus heap compaction and O(1) accounting; these tests
-pin the contract that all of them are *behaviour-preserving*: same
-fire order, same clock, same counters as the straightforward kernel.
+The one run loop (with or without a deadline, trace hooks or an event
+limit), heap compaction and O(1) accounting; these tests pin the
+contract that all of them are *behaviour-preserving*: same fire order,
+same clock, same counters as the straightforward kernel.
 """
 
-import pytest
+import itertools
 
 import repro.sim.kernel as kernel
 from repro.sim import Simulator
@@ -14,6 +14,12 @@ from repro.sim import Simulator
 
 def noop(*args):
     pass
+
+
+def resident(sim):
+    """Every entry the scheduler holds: active queue, wheel buckets
+    and overflow heap."""
+    return itertools.chain(sim._queue, *sim._wheel, sim._overflow)
 
 
 # ----------------------------------------------------------------------
@@ -95,9 +101,9 @@ class TestHeapCompaction:
         assert sim.compactions > 0
         # _dead always equals the cancelled entries resident in a tier
         assert sim._dead == sum(
-            1 for entry in sim._resident_entries() if entry[2]._state is None
+            1 for entry in resident(sim) if entry[2]._state is None
         )
-        assert sum(1 for _ in sim._resident_entries()) < 200
+        assert sum(1 for _ in resident(sim)) < 200
         assert sim.pending_events == 50
         sim.run()
         assert sim.events_fired == 50
@@ -182,7 +188,7 @@ class TestHookDedup:
 
 
 # ----------------------------------------------------------------------
-# mid-run control changes (park/unpark re-dispatch)
+# mid-run control changes (stop, cancel, hook registration)
 # ----------------------------------------------------------------------
 class TestMidRunControl:
     def test_stop_mid_run_keeps_remaining_events(self):
@@ -250,7 +256,7 @@ class TestMidRunControl:
 
 
 # ----------------------------------------------------------------------
-# fast loop vs careful loop equivalence
+# hooks and the event limit do not change the fire order
 # ----------------------------------------------------------------------
 class TestLoopEquivalence:
     @staticmethod
@@ -267,7 +273,6 @@ class TestLoopEquivalence:
         return fired, sim.now, sim.events_fired
 
     def test_max_events_kernel_matches_fast_kernel(self):
-        # max_events forces the careful loop; default takes the fast one
         assert self._chain(Simulator(seed=1)) == self._chain(
             Simulator(seed=1, max_events=10_000)
         )
